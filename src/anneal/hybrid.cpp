@@ -374,59 +374,49 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     }
   };
 
-  // Non-tempered restarts run as lanes of one CqmReplicaBank per chunk. Each
-  // lane keeps its own pre-split stream and replays the scalar restart chain
-  // bit for bit (anneal through the bank in per-lane mode, then the scalar
-  // polish on the same stream), so chunking — like threading — never changes
-  // the samples.
-  auto run_bank_chunk = [&](std::size_t r_begin, std::size_t r_end) {
-    // Runs on a pool worker thread; the phase/rid scopes must live here, not
-    // on the submitting thread, for samples of this chunk to attribute.
+  // The last restart runs tempered when enabled (unless it is the only
+  // restart and the refinement member claims it); the rest anneal through a
+  // one-lane replica bank in exact per-lane mode.
+  const std::size_t total_restarts = params_.num_restarts;
+  const bool tempered_last = params_.use_tempering && total_restarts > 0 &&
+                             !(total_restarts == 1 && refinement_available);
+  const std::size_t banked_restarts = total_restarts - (tempered_last ? 1 : 0);
+  result.stats.replica_lanes = 1;
+
+  // Set below when the portfolio fans out; the tempered restart hands its
+  // replica intervals to the same pool as the banked restarts.
+  util::ThreadPool* pool = nullptr;
+
+  // One restart: anneal, polish, and escalate penalties until feasible.
+  auto run_restart = [&](std::size_t r) {
+    if (r > 0 && budget.expired()) {
+      return;  // keep at least one restart so solve() always has an incumbent
+    }
+    // May run on a pool worker thread; the phase/rid scopes must live here,
+    // not on the submitting thread, for samples of this restart to attribute.
     obs::prof::RidScope rid_scope(params_.flight_rid);
     obs::prof::PhaseScope restart_phase("restart");
-    struct Lane {
-      std::size_t r = 0;
-      util::Rng rng{0};
-      std::vector<double> penalties;
-      bool refine = false;
-      model::State init;
-      Sample best;
-      bool have_sample = false;
-      std::size_t rounds = 0;
-      std::uint32_t track = 0;
-      std::unique_ptr<obs::Recorder::Span> span;
-      bool done = false;
-    };
-    std::vector<Lane> lanes;
-    lanes.reserve(r_end - r_begin);
-    for (std::size_t r = r_begin; r < r_end; ++r) {
-      if (r > 0 && budget.expired()) {
-        continue;  // keep at least one restart so solve() always has an incumbent
-      }
-      Lane lane;
-      lane.r = r;
-      lane.rng = streams[r];
-      lane.penalties = base_penalties;
-      lane.refine = r == 0 && refinement_available;
-      if (lane.refine) {
-        lane.init =
-            have_hint ? params_.initial_hint : model::State(cqm.num_variables(), 0);
-      } else {
-        lane.init = random_state(cqm.num_variables(), lane.rng);
-      }
-      apply_fixings(lane.init, pre);
-      // Each restart renders on its own trace track so the portfolio members
-      // line up side by side in the viewer.
-      lane.track = restart_track_base + static_cast<std::uint32_t>(r);
-      if (rec != nullptr) {
-        std::string label = "restart " + std::to_string(r);
-        if (lane.refine) label += " (refine)";
-        rec->name_track(lane.track, std::move(label));
-      }
-      lane.span = std::make_unique<obs::Recorder::Span>(rec, "restart", "hybrid",
-                                                        lane.track);
-      lanes.push_back(std::move(lane));
+    const bool tempered = tempered_last && r + 1 == total_restarts;
+    const bool refine = r == 0 && refinement_available;
+    util::Rng rng = streams[r];
+    std::vector<double> penalties = base_penalties;
+    model::State init;
+    if (refine) {
+      init = have_hint ? params_.initial_hint : model::State(cqm.num_variables(), 0);
+    } else {
+      init = random_state(cqm.num_variables(), rng);
     }
+    apply_fixings(init, pre);
+    // Each restart renders on its own trace track so the portfolio members
+    // line up side by side in the viewer.
+    const auto track = restart_track_base + static_cast<std::uint32_t>(r);
+    if (rec != nullptr) {
+      std::string label = "restart " + std::to_string(r);
+      if (refine) label += " (refine)";
+      if (tempered) label += " (tempering)";
+      rec->name_track(track, std::move(label));
+    }
+    obs::Recorder::Span restart_span(rec, "restart", "hybrid", track);
 
     BatchedCqmAnnealParams bp;
     bp.sweeps = params_.sweeps;
@@ -439,93 +429,43 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     bp.flight_rid = params_.flight_rid;
     const BatchedCqmAnnealer annealer(bp);
 
-    const std::size_t max_rounds =
-        std::max<std::size_t>(1, params_.max_penalty_rounds);
-    for (std::size_t round = 0; round < max_rounds; ++round) {
-      std::vector<BatchedLaneSpec> specs;
-      std::vector<Lane*> active;
-      for (auto& lane : lanes) {
-        if (lane.done) continue;
-        BatchedLaneSpec spec;
-        spec.rng = &lane.rng;
-        spec.initial = &lane.init;
-        spec.penalties = &lane.penalties;
-        spec.refinement = lane.refine;
-        spec.trace_track = lane.track;
-        specs.push_back(spec);
-        active.push_back(&lane);
-        ++lane.rounds;
-      }
-      if (active.empty()) break;
-      auto samples = annealer.anneal_lanes(cqm, specs, &pair_index);
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        Lane& lane = *active[i];
-        Sample s = std::move(samples[i]);
-        polish(s, lane.penalties, lane.rng, lane.track);
-        if (!lane.have_sample || s.better_than(lane.best)) {
-          lane.best = s;
-          lane.have_sample = true;
-        }
-        if (s.feasible || budget.expired()) {
-          lane.done = true;  // keep the incumbent; skip escalation
-          continue;
-        }
-        escalate(s, lane.penalties, lane.track);
-        lane.init = std::move(s.state);  // warm start the next round
-      }
-    }
-    for (auto& lane : lanes) {
-      if (lane.have_sample) results[lane.r] = std::move(lane.best);
-      rounds_by_restart[lane.r] = lane.rounds;
-    }
-  };
-
-  // The tempering restart keeps resident replicas of its own (inside
-  // ParallelTempering's bank) and so runs as its own unit.
-  auto run_tempered_restart = [&](std::size_t r) {
-    if (r > 0 && budget.expired()) {
-      return;  // keep at least one restart so solve() always has an incumbent
-    }
-    util::Rng rng = streams[r];
-    std::vector<double> penalties = base_penalties;
-    model::State init = random_state(cqm.num_variables(), rng);
-    apply_fixings(init, pre);
-
     Sample best_of_restart;
     bool have_sample = false;
     std::size_t rounds = 0;
-    const auto track = restart_track_base + static_cast<std::uint32_t>(r);
-    if (rec != nullptr) {
-      rec->name_track(track, "restart " + std::to_string(r) + " (tempering)");
-    }
-    obs::prof::RidScope rid_scope(params_.flight_rid);
-    obs::prof::PhaseScope tempered_phase("restart");
-    obs::Recorder::Span restart_span(rec, "restart", "hybrid", track);
-
     for (std::size_t round = 0;
          round < std::max<std::size_t>(1, params_.max_penalty_rounds); ++round) {
       ++rounds;
-      TemperingParams tp;
-      tp.num_replicas = params_.tempering_replicas;
-      tp.sweeps = params_.sweeps / 2 + 1;
-      tp.seed = rng.next_u64();
-      tp.cancel = budget;
-      tp.recorder = rec;
-      tp.trace_track = track;
-      tp.sweep_counter = m_sweeps;
-      tp.replica_sweep_counter = m_replica_sweeps;
-      tp.flight = params_.flight;
-      tp.flight_name = f_temper;
-      tp.flight_rid = params_.flight_rid;
-      Sample s = ParallelTempering(tp).run(cqm, penalties, init, &pair_index);
-
+      Sample s;
+      if (tempered) {
+        TemperingParams tp;
+        tp.num_replicas = params_.tempering_replicas;
+        tp.sweeps = params_.sweeps / 2 + 1;
+        tp.seed = rng.next_u64();
+        tp.cancel = budget;
+        tp.pool = pool;
+        tp.recorder = rec;
+        tp.trace_track = track;
+        tp.sweep_counter = m_sweeps;
+        tp.replica_sweep_counter = m_replica_sweeps;
+        tp.flight = params_.flight;
+        tp.flight_name = f_temper;
+        tp.flight_rid = params_.flight_rid;
+        s = ParallelTempering(tp).run(cqm, penalties, init, &pair_index);
+      } else {
+        BatchedLaneSpec spec;
+        spec.rng = &rng;
+        spec.initial = &init;
+        spec.penalties = &penalties;
+        spec.refinement = refine;
+        spec.trace_track = track;
+        s = std::move(annealer.anneal_lanes(cqm, {&spec, 1}, &pair_index).front());
+      }
       polish(s, penalties, rng, track);
       if (!have_sample || s.better_than(best_of_restart)) {
         best_of_restart = s;
         have_sample = true;
       }
-      if (s.feasible) break;
-      if (budget.expired()) break;  // keep the incumbent; skip escalation
+      if (s.feasible || budget.expired()) break;  // keep the incumbent
       escalate(s, penalties, track);
       init = std::move(s.state);  // warm start the next round
     }
@@ -533,36 +473,27 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     rounds_by_restart[r] = rounds;
   };
 
-  // Fixed chunking: restarts [0, banked) group into banks of `replica_lanes`
-  // regardless of the thread count, and the last restart runs tempered when
-  // enabled (unless it is the refinement restart). Work units — chunks and
-  // the tempered restart — are what the pool distributes.
-  const std::size_t total_restarts = params_.num_restarts;
-  const bool tempered_last = params_.use_tempering && total_restarts > 0 &&
-                             !(total_restarts == 1 && refinement_available);
-  const std::size_t banked_restarts = total_restarts - (tempered_last ? 1 : 0);
-  const std::size_t bank_width = std::max<std::size_t>(1, params_.replica_lanes);
-  result.stats.replica_lanes = bank_width;
-  const std::size_t num_chunks = (banked_restarts + bank_width - 1) / bank_width;
-  const std::size_t num_units = num_chunks + (tempered_last ? 1 : 0);
-
-  auto run_unit = [&](std::size_t u) {
-    if (u < num_chunks) {
-      const std::size_t r_begin = u * bank_width;
-      run_bank_chunk(r_begin, std::min(banked_restarts, r_begin + bank_width));
-    } else {
-      run_tempered_restart(total_restarts - 1);
-    }
-  };
-
+  // One pool of `threads` workers runs the whole portfolio: one task per
+  // restart, and one task per tempering replica per swap interval. The
+  // tempered restart, the critical path, is claimed first. Serial solves
+  // never build a pool.
   const std::size_t threads = params_.threads == 0
                                   ? std::max(1u, std::thread::hardware_concurrency())
                                   : params_.threads;
-  if (threads <= 1 || num_units <= 1) {
-    for (std::size_t u = 0; u < num_units; ++u) run_unit(u);
+  const std::size_t parallel_tasks =
+      banked_restarts + (tempered_last ? params_.tempering_replicas : 0);
+  if (threads <= 1 || parallel_tasks <= 1) {
+    for (std::size_t r = 0; r < total_restarts; ++r) run_restart(r);
   } else {
-    util::ThreadPool pool(std::min(threads, num_units));
-    pool.parallel_for(num_units, run_unit);
+    // The model's lazily built incidence caches are written on first use;
+    // build them here so no two restarts race to do it.
+    cqm.build_incidence();
+    util::ThreadPool workers(std::min(threads, parallel_tasks));
+    pool = &workers;
+    const std::size_t first = tempered_last ? total_restarts - 1 : 0;
+    workers.parallel_for(total_restarts, [&](std::size_t i) {
+      run_restart((first + i) % total_restarts);
+    });
   }
 
   // Ordered merge: identical regardless of which thread finished first.

@@ -34,16 +34,14 @@ struct HybridSolverParams {
   /// a structural asymmetry the paper's results also exhibit.
   bool use_refinement_start = true;
   std::size_t tempering_replicas = 6;
-  /// 0 = all hardware threads. Restarts are farmed to a thread pool. Every
-  /// restart draws from a pre-split RNG stream and results merge in restart
-  /// order, so the outcome is identical for any thread count.
+  /// Worker count; 0 = all hardware threads. The whole portfolio shares one
+  /// pool of this many workers, which the calling thread joins while it
+  /// waits: one task per restart, and one task per tempering replica per swap
+  /// interval. 1 runs everything inline on the calling thread and builds no
+  /// pool. Every restart and replica draws from its own pre-split RNG stream
+  /// and results merge in a fixed order, so the outcome is bitwise identical
+  /// for any thread count.
   std::size_t threads = 0;
-  /// Replica-bank width: non-tempered restarts run as lanes of one
-  /// CqmReplicaBank in fixed chunks of this size (chunking is independent of
-  /// `threads`). Each lane replays the scalar per-restart chain bit for bit —
-  /// the bank only amortises the model scan — so any width produces the same
-  /// samples. 0 or 1 degenerates to one restart per bank.
-  std::size_t replica_lanes = 8;
   /// Free-variable count (after presolve) at or below which the solver skips
   /// sampling entirely and enumerates every assignment with a Gray-code walk
   /// (one incremental flip per state). Tiny models get the provable CQM
@@ -107,9 +105,9 @@ struct HybridSolveStats {
   std::size_t num_constraints = 0;
   std::size_t presolve_fixed = 0;
   bool presolve_infeasible = false;
-  /// Replica-bank width the portfolio ran with (0 when the solve never
-  /// reached the sampling portfolio, e.g. presolve-infeasible or exhaustive
-  /// enumeration).
+  /// Replica-bank width the portfolio ran with: 1, since every restart is its
+  /// own one-lane bank (0 when the solve never reached the sampling
+  /// portfolio, e.g. presolve-infeasible or exhaustive enumeration).
   std::size_t replica_lanes = 0;
   /// True when the time budget or a cancellation cut the solve short (the
   /// reported best is the incumbent at that point).

@@ -1,13 +1,17 @@
 #include "anneal/tempering.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "anneal/cqm_anneal.hpp"
 #include "anneal/replica_bank.hpp"
+#include "obs/phase.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qulrb::anneal {
 
@@ -21,6 +25,8 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
   const double flight_start_us =
       params_.flight != nullptr ? params_.flight->now_us() : 0.0;
   util::require(params_.num_replicas >= 2, "ParallelTempering: need >= 2 replicas");
+  util::require(params_.swap_interval >= 1,
+                "ParallelTempering: swap_interval must be >= 1");
   util::require(initial.empty() || initial.size() == n,
                 "ParallelTempering: initial state size mismatch");
 
@@ -45,14 +51,18 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
     starts[r] = std::move(start);
   }
 
-  // All replicas share one penalty vector; the ladder lives in one SoA bank.
-  const std::vector<std::vector<double>> lane_penalties(params_.num_replicas,
-                                                        penalties);
-  CqmReplicaBank bank(cqm, starts, lane_penalties);
+  // One single-lane bank per replica: a bank packs 64 lanes into each spin
+  // word, so replicas sharing a bank could not walk on different threads.
+  std::vector<CqmReplicaBank> banks;
+  banks.reserve(params_.num_replicas);
+  for (std::size_t r = 0; r < params_.num_replicas; ++r) {
+    banks.emplace_back(cqm, std::span<const model::State>(&starts[r], 1),
+                       std::span<const std::vector<double>>(&penalties, 1));
+  }
 
-  // Ladder position -> bank lane. Replica exchange swaps configurations
-  // between adjacent temperatures; with the bank the configurations stay in
-  // their lanes and only this permutation moves.
+  // Ladder position -> bank. Replica exchange swaps configurations between
+  // adjacent temperatures; the configurations stay in their banks and only
+  // this permutation moves.
   std::vector<std::size_t> perm(params_.num_replicas);
   std::iota(perm.begin(), perm.end(), std::size_t{0});
 
@@ -65,7 +75,7 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
       const std::size_t probes = std::min<std::size_t>(n, 256);
       for (std::size_t p = 0; p < probes; ++p) {
         const auto v = static_cast<VarId>(rngs[0].next_below(n));
-        max_abs = std::max(max_abs, std::abs(bank.flip_delta(perm[0], v)));
+        max_abs = std::max(max_abs, std::abs(banks[perm[0]].flip_delta(0, v)));
       }
     }
     beta_hot = std::log(2.0) / max_abs;
@@ -85,50 +95,112 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
   const PairMoveIndex& pairs =
       prebuilt_pairs != nullptr ? *prebuilt_pairs : local_pairs;
 
-  auto snapshot = [&](std::size_t lane) {
-    return Sample{bank.extract_state(lane), bank.objective(lane),
-                  bank.total_violation(lane), bank.feasible(lane)};
-  };
-  Sample best = snapshot(perm.back());
+  const CqmReplicaBank& last = banks[perm.back()];
+  Sample best{last.extract_state(0), last.objective(0), last.total_violation(0),
+              last.feasible(0)};
 
   if (n == 0) return best;
 
   obs::Recorder::Span run_span(params_.recorder, "tempering", "sampler",
                                params_.trace_track);
   const std::size_t sample_every = std::max<std::size_t>(1, params_.sweeps / 64);
-  std::size_t sweeps_done = 0;
 
-  for (std::size_t sweep = 0; sweep < params_.sweeps; ++sweep) {
-    if (params_.cancel.expired()) break;
-    for (std::size_t r = 0; r < perm.size(); ++r) {
-      auto walk = bank.lane(perm[r]);
-      auto& rng = rngs[r];
-      const double beta = betas[r];
+  // One ladder position's walk over sweeps [s0, s1): every sample that beat
+  // its running best (which starts at the interval's incumbent), in sweep
+  // order, and how many sweeps it completed before a cancellation.
+  struct IntervalWalk {
+    std::vector<std::pair<std::size_t, Sample>> improvements;
+    std::size_t swept = 0;
+  };
+  std::vector<IntervalWalk> walks(params_.num_replicas);
+  std::size_t s0 = 0;
+  std::size_t s1 = 0;
+  auto walk_interval = [&](std::size_t r) {
+    // May run on a pool worker; the scopes must live here for profiler
+    // samples of this walk to attribute.
+    obs::prof::RidScope rid_scope(params_.flight_rid);
+    obs::prof::PhaseScope restart_phase("restart");
+    IntervalWalk& out = walks[r];
+    out.improvements.clear();
+    out.swept = 0;
+    CqmReplicaBank& bank = banks[perm[r]];
+    auto walk = bank.lane(0);
+    // Work on a copy: neighbouring streams share cache lines, and every
+    // draw writes the stream state.
+    util::Rng rng = rngs[r];
+    const double beta = betas[r];
+    Sample running{{}, best.energy, best.violation, best.feasible};
+    for (std::size_t sweep = s0; sweep < s1; ++sweep) {
+      if (params_.cancel.expired()) break;
       for (std::size_t step = 0; step < n; ++step) {
         if (!pairs.empty() && rng.next_bool(0.5)) {
           pairs.attempt(walk, rng, beta);
           continue;
         }
         const auto v = static_cast<VarId>(rng.next_below(n));
-        const double delta = bank.flip_delta(perm[r], v);
+        const double delta = bank.flip_delta(0, v);
         if (delta <= 0.0 || rng.next_double() < std::exp(-beta * delta)) {
           walk.apply_flip(v);
         }
       }
-      Sample current{{},
-                     bank.objective(perm[r]),
-                     bank.total_violation(perm[r]),
-                     bank.feasible(perm[r])};
-      if (current.better_than(best)) {
-        current.state = bank.extract_state(perm[r]);
-        best = std::move(current);
+      Sample current{{}, bank.objective(0), bank.total_violation(0),
+                     bank.feasible(0)};
+      if (current.better_than(running)) {
+        running = current;
+        current.state = bank.extract_state(0);
+        out.improvements.emplace_back(sweep, std::move(current));
       }
+      ++out.swept;
+    }
+    rngs[r] = rng;
+  };
+
+  std::size_t sweeps_done = 0;
+  std::size_t lane_sweeps = 0;
+  std::vector<std::size_t> cursor(params_.num_replicas);
+  for (; s0 < params_.sweeps; s0 = s1) {
+    if (params_.cancel.expired()) break;
+    s1 = std::min(params_.sweeps, s0 + params_.swap_interval);
+    if (params_.pool != nullptr) {
+      params_.pool->parallel_for(walks.size(), walk_interval);
+    } else {
+      for (std::size_t r = 0; r < walks.size(); ++r) walk_interval(r);
     }
 
-    if ((sweep + 1) % params_.swap_interval == 0) {
+    // Replay the sequential ladder scan, which visits (sweep, position) in
+    // order and keeps a sample only when it is strictly better than the
+    // incumbent. Its winner is always an improvement some walk recorded, so
+    // scanning just those in the same order yields the same incumbent bit
+    // for bit, and the trace samples for the same sweeps.
+    std::size_t swept = 0;
+    bool cut_short = false;
+    for (const IntervalWalk& w : walks) {
+      swept = std::max(swept, w.swept);
+      lane_sweeps += w.swept;
+      cut_short = cut_short || w.swept < s1 - s0;
+    }
+    std::fill(cursor.begin(), cursor.end(), std::size_t{0});
+    for (std::size_t sweep = s0; sweep < s0 + swept; ++sweep) {
+      for (std::size_t r = 0; r < walks.size(); ++r) {
+        auto& found = walks[r].improvements;
+        if (cursor[r] < found.size() && found[cursor[r]].first == sweep) {
+          Sample& candidate = found[cursor[r]++].second;
+          if (candidate.better_than(best)) best = std::move(candidate);
+        }
+      }
+      if (params_.recorder != nullptr &&
+          (sweep % sample_every == 0 || sweep + 1 == params_.sweeps)) {
+        params_.recorder->sample("incumbent_energy", params_.trace_track,
+                                 best.energy + best.violation);
+      }
+    }
+    sweeps_done += swept;
+    if (cut_short) break;
+
+    if (s1 % params_.swap_interval == 0) {
       for (std::size_t r = 0; r + 1 < perm.size(); ++r) {
-        const double ea = bank.total_energy(perm[r]);
-        const double eb = bank.total_energy(perm[r + 1]);
+        const double ea = banks[perm[r]].total_energy(0);
+        const double eb = banks[perm[r + 1]].total_energy(0);
         const double log_accept = (betas[r] - betas[r + 1]) * (ea - eb);
         if (log_accept >= 0.0 ||
             rngs[0].next_double() < std::exp(log_accept)) {
@@ -136,18 +208,12 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
         }
       }
     }
-    ++sweeps_done;
-    if (params_.recorder != nullptr &&
-        (sweep % sample_every == 0 || sweep + 1 == params_.sweeps)) {
-      params_.recorder->sample("incumbent_energy", params_.trace_track,
-                               best.energy + best.violation);
-    }
   }
   if (params_.sweep_counter != nullptr && sweeps_done > 0) {
     params_.sweep_counter->inc(sweeps_done);
   }
-  if (params_.replica_sweep_counter != nullptr && sweeps_done > 0) {
-    params_.replica_sweep_counter->inc(sweeps_done * params_.num_replicas);
+  if (params_.replica_sweep_counter != nullptr && lane_sweeps > 0) {
+    params_.replica_sweep_counter->inc(lane_sweeps);
   }
   if (params_.flight != nullptr) {
     const double end_us = params_.flight->now_us();

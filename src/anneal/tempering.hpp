@@ -11,6 +11,10 @@
 #include "util/cancel.hpp"
 #include "util/rng.hpp"
 
+namespace qulrb::util {
+class ThreadPool;
+}  // namespace qulrb::util
+
 namespace qulrb::anneal {
 
 class PairMoveIndex;
@@ -22,9 +26,14 @@ struct TemperingParams {
   double beta_hot = 0.0;              ///< 0 selects automatically from scale
   double beta_cold = 0.0;
   std::uint64_t seed = 1;
-  /// Polled once per replica round; when expired the best sample seen by any
-  /// replica so far is returned. Inert by default.
+  /// Polled once per sweep by every replica walk; when expired the best
+  /// sample seen by any replica so far is returned. Inert by default.
   util::CancelToken cancel;
+  /// Optional pool: each swap interval runs one task per ladder position on
+  /// it, while the exchange and the incumbent merge stay on the calling
+  /// thread. Null runs the same tasks inline, in ladder order. The result is
+  /// bitwise identical either way, for any pool size.
+  util::ThreadPool* pool = nullptr;
   /// Optional trace sink: one span per run plus a sampled incumbent-energy
   /// timeline. Consumes no RNG; output is bitwise identical with it on/off.
   obs::Recorder* recorder = nullptr;
@@ -46,6 +55,8 @@ struct TemperingParams {
 /// energy. A geometric beta ladder is run concurrently; adjacent replicas
 /// exchange configurations with the Metropolis criterion
 ///   P(swap) = min(1, exp((beta_a - beta_b) * (E_a - E_b))).
+/// Between two exchanges the replicas walk independently, so each swap
+/// interval is a barrier-separated batch of per-replica tasks.
 /// Better than plain SA on rugged penalty landscapes (tight `k` bounds),
 /// which is why the hybrid solver enables it for hard instances.
 class ParallelTempering {

@@ -187,6 +187,7 @@ bool CqmModel::is_feasible(std::span<const std::uint8_t> state, double tol) cons
 }
 
 void CqmModel::build_incidence() const {
+  if (incidence_valid_) return;
   const std::size_t n = num_variables();
   // Rows come out ascending by group / constraint index because the fill
   // callbacks iterate those containers in index order (CsrRows::build keeps

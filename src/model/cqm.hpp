@@ -167,13 +167,18 @@ class CqmModel {
   std::span<const double> constraint_rhs_flat() const;
   std::span<const double> group_weight_flat() const;
 
+  /// Builds the incidence views above now if they are not built yet. The
+  /// const accessors otherwise build them lazily on first use, which writes
+  /// shared caches: call this on one thread before several threads read the
+  /// same model.
+  void build_incidence() const;
+
   /// Rough magnitude of the objective (used to auto-scale penalties):
   /// max over groups of weight * (max|expr|)^2, plus max |linear|.
   double objective_scale() const;
 
  private:
   void invalidate_incidence() noexcept { incidence_valid_ = false; }
-  void build_incidence() const;
 
   std::vector<std::string> var_names_;
   std::vector<double> linear_;

@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 #include "util/error.hpp"
 
+#include <cstdint>
+#include <vector>
+
 #include "anneal/hybrid.hpp"
+#include "lrp/cqm_builder.hpp"
+#include "lrp/kselect.hpp"
+#include "lrp/problem.hpp"
+#include "lrp/quantum_solver.hpp"
 #include "util/rng.hpp"
+#include "util/timer.hpp"
+#include "workloads/samoa.hpp"
 
 namespace qulrb::anneal {
 namespace {
@@ -137,6 +146,84 @@ TEST(Hybrid, RefinementSkippedWhenZerosInfeasible) {
   const HybridSolveResult r = HybridCqmSolver(fast_params()).solve(m);
   EXPECT_TRUE(r.best.feasible);
   EXPECT_DOUBLE_EQ(r.best.energy, 2.0);
+}
+
+lrp::LrpProblem skewed_problem() {
+  std::vector<double> loads(10, 1.0);
+  loads[0] = 12.0;
+  loads[1] = 7.0;
+  return lrp::LrpProblem::uniform(loads, 24);
+}
+
+// A freshly built model has not built its incidence caches yet. The threaded
+// portfolio must build them once before fanning out, not from every restart
+// and tempering replica at once (a data race the thread sanitizer reports).
+TEST(Hybrid, FreshModelThreadedTemperingSolve) {
+  const lrp::LrpCqm lrp_cqm(skewed_problem(), lrp::CqmVariant::kReduced, 12);
+  HybridSolverParams p;
+  p.num_restarts = 3;
+  p.sweeps = 20;
+  p.max_penalty_rounds = 1;
+  p.threads = 4;
+  p.use_tempering = true;
+  p.exhaustive_max_vars = 0;
+  const HybridSolveResult r = HybridCqmSolver(p).solve(lrp_cqm.cqm());
+  EXPECT_EQ(r.stats.restarts_used, 3u);
+  EXPECT_EQ(r.best.state.size(), lrp_cqm.cqm().num_variables());
+}
+
+TEST(Hybrid, TimeLimitedThreadedTemperingKeepsIncumbent) {
+  const lrp::LrpCqm lrp_cqm(skewed_problem(), lrp::CqmVariant::kFull, 12);
+  HybridSolverParams p;
+  p.num_restarts = 2;
+  p.sweeps = 500'000;  // far beyond the budget on purpose
+  p.threads = 4;
+  p.use_tempering = true;
+  p.exhaustive_max_vars = 0;
+  p.time_limit_ms = 50.0;
+  util::WallTimer timer;
+  const HybridSolveResult r = HybridCqmSolver(p).solve(lrp_cqm.cqm());
+  // Budget 50 ms plus polling granularity and CI slack.
+  EXPECT_LT(timer.elapsed_ms(), 2000.0);
+  EXPECT_TRUE(r.stats.budget_expired);
+  EXPECT_GE(r.stats.restarts_used, 1u);
+  EXPECT_EQ(r.best.state.size(), lrp_cqm.cqm().num_variables());
+}
+
+// Behaviour digest of the paper's headline instance: the Table V sam(oa)^2
+// case (M=32) at reduced sweeps must yield the same Q_CQM1_k1 and Q_CQM2_k2
+// plans inline and on a four-worker pool.
+TEST(Hybrid, TableVPlansIdenticalAtOneAndFourThreads) {
+  const workloads::SamoaWorkload workload = workloads::make_samoa_workload();
+  const lrp::KSelection ks = lrp::select_k(workload.problem);
+  struct Case {
+    lrp::CqmVariant variant;
+    std::int64_t k;
+  };
+  for (const Case c : {Case{lrp::CqmVariant::kReduced, ks.k1},
+                       Case{lrp::CqmVariant::kFull, ks.k2}}) {
+    SCOPED_TRACE(c.variant == lrp::CqmVariant::kReduced ? "Q_CQM1_k1" : "Q_CQM2_k2");
+    std::vector<lrp::MigrationPlan> plans;
+    for (const std::size_t threads : {1u, 4u}) {
+      lrp::QcqmOptions options;
+      options.variant = c.variant;
+      options.k = c.k;
+      options.hybrid.seed = 1;
+      options.hybrid.sweeps = 40;
+      options.hybrid.num_restarts = 3;
+      options.hybrid.threads = threads;
+      plans.push_back(lrp::QcqmSolver(options).solve(workload.problem).plan);
+    }
+    const std::size_t m = workload.problem.num_processes();
+    ASSERT_EQ(plans[0].num_processes(), m);
+    ASSERT_EQ(plans[1].num_processes(), m);
+    for (std::size_t to = 0; to < m; ++to) {
+      for (std::size_t from = 0; from < m; ++from) {
+        EXPECT_EQ(plans[0].count(to, from), plans[1].count(to, from))
+            << "x(" << to << ", " << from << ")";
+      }
+    }
+  }
 }
 
 }  // namespace

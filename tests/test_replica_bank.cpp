@@ -22,7 +22,9 @@
 #include "model/qubo.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qulrb::anneal {
 namespace {
@@ -594,6 +596,72 @@ TEST(ReplicaBank, TemperingDeterministicAndCountsLaneSweeps) {
   expect_sample_eq(a, b);
 }
 
+/// min (sum x - 4)^2 s.t. sum x <= 6 over 12 variables: 495 optimal
+/// states, so several replicas reach an equal best in the same sweep and the
+/// earliest-position tie rule decides which state is returned.
+model::CqmModel degenerate_cqm() {
+  model::CqmModel m;
+  for (int i = 0; i < 12; ++i) m.add_variable();
+  model::LinearExpr g(-4.0);
+  model::LinearExpr cap;
+  for (model::VarId v = 0; v < 12; ++v) {
+    g.add_term(v, 1.0);
+    cap.add_term(v, 1.0);
+  }
+  m.add_squared_group(std::move(g), 1.0);
+  m.add_constraint(std::move(cap), model::Sense::LE, 6.0);
+  return m;
+}
+
+// Interval tasks on a pool replay the sequential ladder scan exactly: the
+// same incumbent as the reference at every pool size (and inline), and the
+// same incumbent-energy trace samples.
+TEST(ParallelTempering, PoolOfAnySizeMatchesReference) {
+  const std::pair<const char*, model::CqmModel> models[] = {
+      {"Q_CQM1", build_cqm(lrp::CqmVariant::kReduced)},
+      {"Q_CQM2", build_cqm(lrp::CqmVariant::kFull)},
+      {"degenerate", degenerate_cqm()},
+  };
+  for (const auto& [label, cqm] : models) {
+    SCOPED_TRACE(label);
+    const PairMoveIndex pairs = PairMoveIndex::build(cqm);
+    const std::vector<double> penalties(cqm.num_constraints(), 2.0);
+    TemperingParams params;
+    params.num_replicas = 6;
+    params.sweeps = 33;  // the last interval is partial and ends without a swap
+    params.swap_interval = 5;
+    params.seed = 19;
+    const Sample expected = reference_tempering(cqm, penalties, params, pairs);
+
+    auto incumbent_trace = [](const obs::Recorder& recorder) {
+      std::vector<double> values;
+      for (const auto& s : recorder.samples()) values.push_back(s.value);
+      return values;
+    };
+    obs::Recorder inline_recorder("inline");
+    params.recorder = &inline_recorder;
+    expect_sample_eq(ParallelTempering(params).run(cqm, penalties, {}, &pairs),
+                     expected);
+    const std::vector<double> inline_trace = incumbent_trace(inline_recorder);
+    EXPECT_FALSE(inline_trace.empty());
+
+    for (const std::size_t workers : {1u, 2u, 3u, 6u}) {
+      SCOPED_TRACE("pool of " + std::to_string(workers));
+      util::ThreadPool pool(workers);
+      obs::Recorder recorder("pool");
+      params.pool = &pool;
+      params.recorder = &recorder;
+      expect_sample_eq(ParallelTempering(params).run(cqm, penalties, {}, &pairs),
+                       expected);
+      EXPECT_EQ(incumbent_trace(recorder), inline_trace);
+      params.recorder = nullptr;
+      expect_sample_eq(ParallelTempering(params).run(cqm, penalties, {}, &pairs),
+                       expected);
+      params.pool = nullptr;
+    }
+  }
+}
+
 // ------------------------------------------------------------ SA + tabu -----
 
 // SimulatedAnnealer::sample's bank-batched multi-read path must emit exactly
@@ -664,43 +732,51 @@ TEST(ReplicaBank, TabuArgminMatchesReferenceScan) {
 
 // --------------------------------------------------- solver + observability -
 
-anneal::HybridSolverParams solver_params(std::size_t lanes) {
+anneal::HybridSolverParams solver_params() {
   anneal::HybridSolverParams params;
   params.num_restarts = 4;
   params.sweeps = 60;
   params.seed = 42;
   params.threads = 1;
   params.exhaustive_max_vars = 0;  // force the sampling portfolio
-  params.replica_lanes = lanes;
   return params;
 }
 
-// The solver contract the whole PR hangs on: the banked portfolio produces
-// the same bytes at any bank width (width 1 degenerates to one restart per
-// bank), and reports the width it ran with.
-TEST(ReplicaBank, HybridSolverOutputInvariantAcrossBankWidth) {
+// The scheduling contract: the portfolio produces the same bytes whether it
+// runs inline or on a shared pool of any size, with tracing on or off.
+TEST(ReplicaBank, HybridSolverOutputInvariantAcrossThreads) {
   const model::CqmModel cqm = build_cqm(lrp::CqmVariant::kReduced);
-  const auto wide = HybridCqmSolver(solver_params(8)).solve(cqm);
-  const auto narrow = HybridCqmSolver(solver_params(1)).solve(cqm);
-
-  EXPECT_EQ(wide.stats.replica_lanes, 8u);
-  EXPECT_EQ(narrow.stats.replica_lanes, 1u);
-  expect_sample_eq(wide.best, narrow.best);
-  ASSERT_EQ(wide.samples.size(), narrow.samples.size());
-  for (std::size_t i = 0; i < wide.samples.size(); ++i) {
-    SCOPED_TRACE("sample " + std::to_string(i));
-    expect_sample_eq(wide.samples.at(i), narrow.samples.at(i));
+  const auto serial = HybridCqmSolver(solver_params()).solve(cqm);
+  EXPECT_EQ(serial.stats.replica_lanes, 1u);
+  for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+    for (const bool traced : {false, true}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) +
+                   (traced ? " traced" : " untraced"));
+      obs::Recorder recorder("solve");
+      auto params = solver_params();
+      params.threads = threads;
+      params.recorder = traced ? &recorder : nullptr;
+      const auto got = HybridCqmSolver(params).solve(cqm);
+      expect_sample_eq(got.best, serial.best);
+      EXPECT_EQ(got.stats.restarts_used, serial.stats.restarts_used);
+      EXPECT_EQ(got.stats.penalty_rounds_used, serial.stats.penalty_rounds_used);
+      ASSERT_EQ(got.samples.size(), serial.samples.size());
+      for (std::size_t i = 0; i < got.samples.size(); ++i) {
+        SCOPED_TRACE("sample " + std::to_string(i));
+        expect_sample_eq(got.samples.at(i), serial.samples.at(i));
+      }
+    }
   }
 }
 
 TEST(ReplicaBank, HybridSolverCountsReplicaSweeps) {
   const model::CqmModel cqm = build_cqm(lrp::CqmVariant::kReduced);
   obs::MetricsRegistry reg;
-  auto params = solver_params(8);
+  auto params = solver_params();
   params.metrics = &reg;
   const auto result = HybridCqmSolver(params).solve(cqm);
   EXPECT_TRUE(result.best.feasible);
-  EXPECT_EQ(result.stats.replica_lanes, 8u);
+  EXPECT_EQ(result.stats.replica_lanes, 1u);
   // Every lane-sweep the bank executes lands in the counter; the portfolio
   // runs num_restarts chains of `sweeps` sweeps at minimum (penalty rounds
   // and tempering only add to it).

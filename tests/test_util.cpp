@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <future>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "util/error.hpp"
@@ -321,6 +323,55 @@ TEST(ThreadPool, ReusableAfterWait) {
   pool.parallel_for(10, [&](std::size_t) { counter.fetch_add(1); });
   pool.parallel_for(10, [&](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 20);
+}
+
+// Two threads share one pool. One batch blocks until released; the other
+// must still return once its own tasks are done, not when the pool is idle.
+TEST(ThreadPool, ParallelForWaitsOnlyForItsOwnBatch) {
+  ThreadPool pool(2);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> blocked_done{0};
+  std::thread blocked([&] {
+    pool.parallel_for(2, [&](std::size_t) {
+      released.wait();
+      blocked_done.fetch_add(1);
+    });
+  });
+  std::atomic<int> quick{0};
+  std::thread quick_caller([&] {
+    pool.parallel_for(8, [&](std::size_t) { quick.fetch_add(1); });
+  });
+  quick_caller.join();  // hangs if parallel_for waits for the whole pool
+  EXPECT_EQ(quick.load(), 8);
+  EXPECT_EQ(blocked_done.load(), 0);
+  release.set_value();
+  blocked.join();
+  EXPECT_EQ(blocked_done.load(), 2);
+}
+
+// parallel_for called from the pool's only worker finds no free worker and
+// runs its whole batch inline instead of deadlocking.
+TEST(ThreadPool, NestedParallelForOnBusyPoolCompletes) {
+  ThreadPool pool(1);
+  std::atomic<int> inner{0};
+  pool.submit([&] {
+    pool.parallel_for(5, [&](std::size_t) { inner.fetch_add(1); });
+  });
+  pool.wait_idle();
+  EXPECT_EQ(inner.load(), 5);
+}
+
+TEST(ThreadPool, ParallelForForwardsExceptionAfterBatch) {
+  ThreadPool pool(2);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(pool.parallel_for(6,
+                                 [&](std::size_t i) {
+                                   if (i == 2) throw std::runtime_error("task 2");
+                                   finished.fetch_add(1);
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 5);  // the other indices still ran to completion
 }
 
 // -------------------------------------------------------------- timer ------
