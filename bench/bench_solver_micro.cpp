@@ -5,13 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-
 #include "anneal/cqm_anneal.hpp"
 #include "anneal/pimc.hpp"
-#include "anneal/replica_bank.hpp"
 #include "anneal/sa.hpp"
-#include "anneal/simd.hpp"
 #include "classical/greedy.hpp"
 #include "classical/kk.hpp"
 #include "classical/proactlb.hpp"
@@ -26,14 +22,6 @@
 namespace {
 
 using namespace qulrb;
-
-// Record which delta-evaluation kernel this run dispatched to, so exported
-// bench JSON is comparable across builds (context.qulrb_simd_level).
-const bool g_simd_context_registered = [] {
-  benchmark::AddCustomContext(
-      "qulrb_simd_level", anneal::simd::level_name(anneal::simd::active_level()));
-  return true;
-}();
 
 const lrp::LrpProblem& table2_problem() {
   static const lrp::LrpProblem problem =
@@ -101,41 +89,26 @@ void BM_CqmAnnealSweep(benchmark::State& state) {
   const auto scenario = workloads::scenarios::node_scaling(m);
   const lrp::LrpCqm cqm(scenario.problem, lrp::CqmVariant::kReduced, 500);
   const std::vector<double> penalties(cqm.cqm().num_constraints(), 1.0);
-  // The production sweep path: 8 replicas anneal in lockstep over one
-  // CqmReplicaBank (shared-proposal mode), with delta evaluation and commit
-  // running through the batched across-lane kernels. Reported time is per
-  // replica, comparable against the single-chain baseline in
-  // bench/baseline_kernel_seed.json.
-  constexpr std::size_t kLanes = 8;
-  std::vector<util::Rng> rngs;
-  rngs.reserve(kLanes);
-  for (std::size_t r = 0; r < kLanes; ++r) rngs.emplace_back(5 + r);
-  util::Rng proposal(5);
-  anneal::BatchedCqmAnnealParams params;
+  // The production sweep path: one CqmAnnealer chain, the loop every hybrid
+  // restart runs. Comparable against the single-chain baselines in
+  // bench/baseline_kernel_seed.json and bench/baseline_kernel_prebank.json.
+  util::Rng rng(5);
+  anneal::CqmAnnealParams params;
   params.sweeps = 1;
-  const anneal::BatchedCqmAnnealer annealer(params);
+  const anneal::CqmAnnealer annealer(params);
   // The pair-move index depends only on the model; every production caller
   // (hybrid portfolio, tempering) builds it once per solve and shares it
   // across restarts, so the sweep benchmark measures that hot path. The
   // one-time build cost is tracked separately by BM_CqmPairIndexBuild.
   const auto pairs = anneal::PairMoveIndex::build(cqm.cqm());
-  std::vector<anneal::BatchedLaneSpec> specs(kLanes);
-  for (std::size_t r = 0; r < kLanes; ++r) {
-    specs[r].rng = &rngs[r];
-    specs[r].penalties = &penalties;
-  }
   for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto out = annealer.anneal_lanes(cqm.cqm(), specs, &pairs, &proposal);
-    const auto t1 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(out);
-    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count() /
-                           static_cast<double>(kLanes));
+    benchmark::DoNotOptimize(
+        annealer.anneal_once(cqm.cqm(), penalties, rng, {}, nullptr, &pairs));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(cqm.num_binary_variables()));
 }
-BENCHMARK(BM_CqmAnnealSweep)->Arg(8)->Arg(32)->UseManualTime();
+BENCHMARK(BM_CqmAnnealSweep)->Arg(8)->Arg(32);
 
 void BM_CqmPairIndexBuild(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));

@@ -18,12 +18,10 @@ set -eu
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 build_dir=${1:-"$repo_root/build"}
 bench_bin="$build_dir/bench/bench_solver_micro"
-bank_bin="$build_dir/bench/bench_replica_bank"
 baseline=${QULRB_BASELINE_JSON:-"$repo_root/bench/baseline_kernel_seed.json"}
 out="$repo_root/BENCH_kernel.json"
 min_time=${QULRB_BENCH_MIN_TIME:-0.3}
 filter=${QULRB_BENCH_FILTER:-'BM_CqmFlipDelta|BM_CqmAnnealSweep|BM_CqmPairIndexBuild|BM_QuboEnergy|BM_PimcSweep'}
-bank_filter=${QULRB_BANK_BENCH_FILTER:-'BM_ReplicaBank'}
 
 if [ ! -x "$bench_bin" ]; then
   echo "error: $bench_bin not found or not executable (build with -DQULRB_BUILD_BENCHES=ON)" >&2
@@ -31,39 +29,21 @@ if [ ! -x "$bench_bin" ]; then
 fi
 
 tmp=$(mktemp)
-bank_tmp=$(mktemp)
-trap 'rm -f "$tmp" "$bank_tmp"' EXIT
+trap 'rm -f "$tmp"' EXIT
 
 "$bench_bin" \
   --benchmark_filter="$filter" \
   --benchmark_min_time="$min_time" \
   --benchmark_format=json > "$tmp"
 
-# Replica-bank R-sweep rides along in the same kernel document (the SIMD
-# dispatch level each binary ran with is in context.qulrb_simd_level).
-if [ -x "$bank_bin" ]; then
-  "$bank_bin" \
-    --benchmark_filter="$bank_filter" \
-    --benchmark_min_time="$min_time" \
-    --benchmark_format=json > "$bank_tmp"
-else
-  echo "warning: $bank_bin not found; BENCH_kernel.json will lack BM_ReplicaBank rows" >&2
-  printf '{"benchmarks": []}\n' > "$bank_tmp"
-fi
-
-python3 - "$tmp" "$bank_tmp" "$baseline" "$out" <<'PY'
+python3 - "$tmp" "$baseline" "$out" <<'PY'
 import json
 import sys
 
-current_path, bank_path, baseline_path, out_path = (sys.argv[1], sys.argv[2],
-                                                    sys.argv[3], sys.argv[4])
+current_path, baseline_path, out_path = sys.argv[1], sys.argv[2], sys.argv[3]
 
 with open(current_path) as f:
     current = json.load(f)
-
-with open(bank_path) as f:
-    bank = json.load(f)
-current.setdefault("benchmarks", []).extend(bank.get("benchmarks", []))
 
 try:
     with open(baseline_path) as f:
@@ -72,15 +52,8 @@ except FileNotFoundError:
     baseline = {"benchmarks": []}
 
 def times(report):
-    # Manually timed benchmarks (the lockstep replica sweeps report wall time
-    # per replica) get a "/manual_time" suffix from google-benchmark; strip it
-    # so names stay stable against pre-manual-time baselines.
-    def clean(name):
-        suffix = "/manual_time"
-        return name[: -len(suffix)] if name.endswith(suffix) else name
-
     return {
-        clean(b["name"]): {"real_time_ns": b["real_time"], "cpu_time_ns": b["cpu_time"]}
+        b["name"]: {"real_time_ns": b["real_time"], "cpu_time_ns": b["cpu_time"]}
         for b in report.get("benchmarks", [])
         if b.get("run_type", "iteration") == "iteration"
     }

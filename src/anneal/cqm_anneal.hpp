@@ -41,9 +41,6 @@ class CqmIncrementalState {
 
   std::size_t num_variables() const noexcept { return state_.size(); }
   const model::State& state() const noexcept { return state_; }
-  /// Current value of one variable. Part of the walk interface shared with
-  /// CqmReplicaBank lanes (which store packed bits, not a byte State).
-  bool state_bit(model::VarId v) const noexcept { return state_[v] != 0; }
   const model::CqmModel& cqm() const noexcept { return *cqm_; }
 
   double objective() const noexcept { return objective_; }
@@ -148,11 +145,8 @@ class PairMoveIndex {
   /// accept with the Metropolis criterion at `beta` on the combined energy
   /// delta. With `feasible_only`, any violation-increasing proposal is
   /// rejected and the criterion applies to the objective part alone.
-  /// Returns true when a move was applied. `Walk` is any type exposing the
-  /// CqmIncrementalState walk interface (state_bit / pair_delta_parts /
-  /// apply_flip) — in particular a CqmReplicaBank::LaneRef.
-  template <class Walk>
-  bool attempt(Walk& walk, util::Rng& rng, double beta,
+  /// Returns true when a move was applied.
+  bool attempt(CqmIncrementalState& walk, util::Rng& rng, double beta,
                bool feasible_only = false) const;
 
   /// Zero-temperature systematic polish: scan every class's (set, clear)
@@ -161,8 +155,7 @@ class PairMoveIndex {
   /// pass costs pair_scan_cost() delta evaluations — callers should prefer
   /// this over random attempt() sampling exactly when that is the cheaper
   /// budget. The cancel token (when given) is polled once per pass.
-  template <class Walk>
-  std::size_t descend(Walk& walk, std::size_t max_passes = 8,
+  std::size_t descend(CqmIncrementalState& walk, std::size_t max_passes = 8,
                       const util::CancelToken* cancel = nullptr) const;
 
   /// Ordered pair evaluations per descend() pass: sum of |class|^2.
@@ -250,13 +243,12 @@ class CqmAnnealer {
 };
 
 // ---------------------------------------------------------------------------
-// PairMoveIndex template bodies (shared by CqmIncrementalState walks and
-// CqmReplicaBank lanes).
+// PairMoveIndex move bodies, inline so every sweep loop keeps them in its
+// hot path.
 // ---------------------------------------------------------------------------
 
-template <class Walk>
-bool PairMoveIndex::attempt(Walk& walk, util::Rng& rng, double beta,
-                            bool feasible_only) const {
+inline bool PairMoveIndex::attempt(CqmIncrementalState& walk, util::Rng& rng,
+                                   double beta, bool feasible_only) const {
   if (empty()) return false;
   const auto members =
       class_at(static_cast<std::size_t>(rng.next_below(num_classes())));
@@ -270,8 +262,8 @@ bool PairMoveIndex::attempt(Walk& walk, util::Rng& rng, double beta,
     const model::VarId b =
         members[static_cast<std::size_t>(rng.next_below(members.size()))];
     if (a == b) continue;
-    const bool sa = walk.state_bit(a);
-    const bool sb = walk.state_bit(b);
+    const bool sa = walk.state()[a] != 0;
+    const bool sb = walk.state()[b] != 0;
     if (sa == sb) continue;
     set_var = sa ? a : b;
     clear_var = sa ? b : a;
@@ -292,9 +284,9 @@ bool PairMoveIndex::attempt(Walk& walk, util::Rng& rng, double beta,
   return false;
 }
 
-template <class Walk>
-std::size_t PairMoveIndex::descend(Walk& walk, std::size_t max_passes,
-                                   const util::CancelToken* cancel) const {
+inline std::size_t PairMoveIndex::descend(CqmIncrementalState& walk,
+                                          std::size_t max_passes,
+                                          const util::CancelToken* cancel) const {
   std::size_t applied = 0;
   for (std::size_t pass = 0; pass < max_passes; ++pass) {
     if (cancel != nullptr && cancel->expired()) break;
@@ -303,10 +295,10 @@ std::size_t PairMoveIndex::descend(Walk& walk, std::size_t max_passes,
       const auto members = class_at(c);
       for (std::size_t i = 0; i < members.size(); ++i) {
         const model::VarId a = members[i];
-        if (!walk.state_bit(a)) continue;
+        if (walk.state()[a] == 0) continue;
         for (std::size_t j = 0; j < members.size(); ++j) {
           const model::VarId b = members[j];
-          if (b == a || walk.state_bit(b)) continue;
+          if (b == a || walk.state()[b] != 0) continue;
           if (walk.pair_delta_parts(a, b).total() < -1e-12) {
             walk.apply_flip(a);
             walk.apply_flip(b);

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "anneal/replica_bank.hpp"
 #include "anneal/tempering.hpp"
 #include "model/presolve.hpp"
 #include "util/error.hpp"
@@ -152,7 +151,6 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
   obs::Counter* m_penalty_rounds = nullptr;
   obs::Counter* m_budget_expired = nullptr;
   obs::Counter* m_sweeps = nullptr;
-  obs::Counter* m_replica_sweeps = nullptr;
   obs::LogHistogram* m_solve_ms = nullptr;
   if (params_.metrics != nullptr) {
     auto& reg = *params_.metrics;
@@ -166,9 +164,6 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
                      "Solves truncated by their budget or a cancellation");
     m_sweeps = &reg.counter("qulrb_solver_sweeps_total",
                             "Sampler sweeps executed across all portfolio members");
-    m_replica_sweeps =
-        &reg.counter("qulrb_solver_replica_sweeps",
-                     "Lane-sweeps executed through the replica bank");
     m_solve_ms = &reg.histogram("qulrb_solver_solve_ms",
                                 "Hybrid solve wall time in milliseconds");
   }
@@ -178,8 +173,8 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
                                  ? params_.recorder
                                  : params_.trace.recorder();
   // Flight-ring name codes, interned once per solve (cold path).
-  const std::uint16_t f_batch =
-      params_.flight != nullptr ? params_.flight->intern("anneal-batch") : 0;
+  const std::uint16_t f_anneal =
+      params_.flight != nullptr ? params_.flight->intern("anneal") : 0;
   const std::uint16_t f_temper =
       params_.flight != nullptr ? params_.flight->intern("tempering") : 0;
   if (rec != nullptr) {
@@ -334,8 +329,7 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
 
   // Feasibility polish: steepest descent with current penalties, then
   // zero-temperature pair moves (constraint-preserving reroutes). Shared by
-  // banked and tempered restarts; always runs on the restart's own stream so
-  // the draw sequence matches the scalar per-restart chain exactly.
+  // annealed and tempered restarts; always runs on the restart's own stream.
   auto polish = [&](Sample& s, const std::vector<double>& penalties,
                     util::Rng& rng, std::uint32_t track) {
     obs::prof::PhaseScope polish_phase("polish");
@@ -375,16 +369,16 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
   };
 
   // The last restart runs tempered when enabled (unless it is the only
-  // restart and the refinement member claims it); the rest anneal through a
-  // one-lane replica bank in exact per-lane mode.
+  // restart and the refinement member claims it); the rest are single
+  // CqmAnnealer chains.
   const std::size_t total_restarts = params_.num_restarts;
   const bool tempered_last = params_.use_tempering && total_restarts > 0 &&
                              !(total_restarts == 1 && refinement_available);
-  const std::size_t banked_restarts = total_restarts - (tempered_last ? 1 : 0);
+  const std::size_t annealed_restarts = total_restarts - (tempered_last ? 1 : 0);
   result.stats.replica_lanes = 1;
 
   // Set below when the portfolio fans out; the tempered restart hands its
-  // replica intervals to the same pool as the banked restarts.
+  // replica intervals to the same pool as the annealed restarts.
   util::ThreadPool* pool = nullptr;
 
   // One restart: anneal, polish, and escalate penalties until feasible.
@@ -418,16 +412,17 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     }
     obs::Recorder::Span restart_span(rec, "restart", "hybrid", track);
 
-    BatchedCqmAnnealParams bp;
-    bp.sweeps = params_.sweeps;
-    bp.cancel = budget;
-    bp.recorder = rec;
-    bp.sweep_counter = m_sweeps;
-    bp.replica_sweep_counter = m_replica_sweeps;
-    bp.flight = params_.flight;
-    bp.flight_name = f_batch;
-    bp.flight_rid = params_.flight_rid;
-    const BatchedCqmAnnealer annealer(bp);
+    CqmAnnealParams ap;
+    ap.sweeps = params_.sweeps;
+    ap.refinement = refine;
+    ap.cancel = budget;
+    ap.recorder = rec;
+    ap.trace_track = track;
+    ap.sweep_counter = m_sweeps;
+    ap.flight = params_.flight;
+    ap.flight_name = f_anneal;
+    ap.flight_rid = params_.flight_rid;
+    const CqmAnnealer annealer(ap);
 
     Sample best_of_restart;
     bool have_sample = false;
@@ -446,19 +441,12 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
         tp.recorder = rec;
         tp.trace_track = track;
         tp.sweep_counter = m_sweeps;
-        tp.replica_sweep_counter = m_replica_sweeps;
         tp.flight = params_.flight;
         tp.flight_name = f_temper;
         tp.flight_rid = params_.flight_rid;
         s = ParallelTempering(tp).run(cqm, penalties, init, &pair_index);
       } else {
-        BatchedLaneSpec spec;
-        spec.rng = &rng;
-        spec.initial = &init;
-        spec.penalties = &penalties;
-        spec.refinement = refine;
-        spec.trace_track = track;
-        s = std::move(annealer.anneal_lanes(cqm, {&spec, 1}, &pair_index).front());
+        s = annealer.anneal_once(cqm, penalties, rng, init, nullptr, &pair_index);
       }
       polish(s, penalties, rng, track);
       if (!have_sample || s.better_than(best_of_restart)) {
@@ -481,7 +469,7 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
                                   ? std::max(1u, std::thread::hardware_concurrency())
                                   : params_.threads;
   const std::size_t parallel_tasks =
-      banked_restarts + (tempered_last ? params_.tempering_replicas : 0);
+      annealed_restarts + (tempered_last ? params_.tempering_replicas : 0);
   if (threads <= 1 || parallel_tasks <= 1) {
     for (std::size_t r = 0; r < total_restarts; ++r) run_restart(r);
   } else {

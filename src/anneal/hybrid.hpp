@@ -88,8 +88,8 @@ struct HybridSolverParams {
   /// queue spans and the BSP rank tracks without row collisions. Same
   /// zero-cost-off discipline as `recorder`.
   obs::TraceContext trace;
-  /// Optional always-on flight ring: the portfolio's batched/tempering
-  /// engines each leave one compact span per call, stamped with
+  /// Optional always-on flight ring: every anneal and tempering run of the
+  /// portfolio leaves one compact span, stamped with
   /// `flight_rid` so an anomaly dump can slice out the triggering request's
   /// solver activity retroactively. Same null discipline as `recorder`.
   obs::FlightRecorder* flight = nullptr;
@@ -105,9 +105,10 @@ struct HybridSolveStats {
   std::size_t num_constraints = 0;
   std::size_t presolve_fixed = 0;
   bool presolve_infeasible = false;
-  /// Replica-bank width the portfolio ran with: 1, since every restart is its
-  /// own one-lane bank (0 when the solve never reached the sampling
-  /// portfolio, e.g. presolve-infeasible or exhaustive enumeration).
+  /// Chains per sampling restart: always 1, since every restart is one
+  /// annealing chain (0 when the solve never reached the sampling portfolio,
+  /// e.g. presolve-infeasible or exhaustive enumeration). Kept because the
+  /// `replicas` wire/event field reports it.
   std::size_t replica_lanes = 0;
   /// True when the time budget or a cancellation cut the solve short (the
   /// reported best is the incumbent at that point).

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "anneal/delta_cache.hpp"
-#include "anneal/replica_bank.hpp"
 #include "util/error.hpp"
 
 namespace qulrb::anneal {
@@ -95,86 +94,11 @@ Sample SimulatedAnnealer::anneal_once(const model::QuboModel& qubo, util::Rng& r
 SampleSet SimulatedAnnealer::sample(const model::QuboModel& qubo) const {
   SampleSet set;
   util::Rng master(params_.seed);
-  const std::size_t n = qubo.num_variables();
-
-  // Batched path: run every read as a lane of one QuboReplicaBank, so the
-  // initial energy + all-variable delta construction is one vectorized model
-  // scan instead of num_reads scalar ones. Each lane consumes exactly the
-  // pre-split stream its scalar read would (streams are independent, so
-  // splitting them all upfront yields identical values), and every per-lane
-  // update mirrors QuboDeltaCache bit for bit — the sample set is byte-equal
-  // to the scalar loop. Tracing and cancellation change per-read control
-  // flow, so those fall back to the scalar loop.
-  const bool batched = params_.recorder == nullptr && !params_.cancel.can_expire() &&
-                       params_.num_reads > 1 && n > 0;
-  if (!batched) {
-    for (std::size_t read = 0; read < params_.num_reads; ++read) {
-      util::Rng rng = master.split();
-      set.add(anneal_once(qubo, rng));
-      // Keep at least one read so callers always get a sample.
-      if (params_.cancel.expired()) break;
-    }
-    return set;
-  }
-
-  const std::size_t reads = params_.num_reads;
-  std::vector<util::Rng> rngs;
-  rngs.reserve(reads);
-  for (std::size_t r = 0; r < reads; ++r) rngs.push_back(master.split());
-
-  std::vector<model::State> states(reads);
-  for (std::size_t r = 0; r < reads; ++r) {
-    states[r].resize(n);
-    for (auto& b : states[r]) b = static_cast<std::uint8_t>(rngs[r].next_below(2));
-  }
-
-  const BetaSchedule schedule = make_schedule(qubo);
-  QuboReplicaBank bank(qubo, states);
-
-  std::vector<model::State> best_states = states;
-  std::vector<double> best_energy(reads);
-  for (std::size_t r = 0; r < reads; ++r) best_energy[r] = bank.energy(r);
-
-  // Same journal/undo incumbent tracking as anneal_once, one journal per lane.
-  std::vector<std::vector<model::VarId>> journals(reads);
-  for (auto& j : journals) j.reserve(n);
-  std::vector<std::size_t> best_pos(reads, 0);
-  std::vector<std::uint8_t> improved(reads, 0);
-
-  for (std::size_t sweep = 0; sweep < schedule.sweeps(); ++sweep) {
-    const double beta = schedule.at(sweep);
-    for (std::size_t r = 0; r < reads; ++r) {
-      auto& journal = journals[r];
-      for (std::size_t step = 0; step < n; ++step) {
-        const auto v = static_cast<model::VarId>(rngs[r].next_below(n));
-        const double delta = bank.delta(r, v);
-        if (delta <= 0.0 || rngs[r].next_double() < std::exp(-beta * delta)) {
-          bank.apply_flip(r, v);
-          states[r][v] ^= 1u;
-          journal.push_back(v);
-          if (bank.energy(r) < best_energy[r]) {
-            best_energy[r] = bank.energy(r);
-            best_pos[r] = journal.size();
-            improved[r] = 1;
-          }
-        }
-      }
-      if (improved[r] != 0) {
-        best_states[r] = states[r];
-        for (std::size_t i = journal.size(); i > best_pos[r]; --i) {
-          best_states[r][journal[i - 1]] ^= 1u;
-        }
-        improved[r] = 0;
-      }
-      journal.clear();
-      best_pos[r] = 0;
-    }
-  }
-  if (params_.sweep_counter != nullptr && schedule.sweeps() > 0) {
-    params_.sweep_counter->inc(schedule.sweeps() * reads);
-  }
-  for (std::size_t r = 0; r < reads; ++r) {
-    set.add({std::move(best_states[r]), best_energy[r], 0.0, true});
+  for (std::size_t read = 0; read < params_.num_reads; ++read) {
+    util::Rng rng = master.split();
+    set.add(anneal_once(qubo, rng));
+    // Keep at least one read so callers always get a sample.
+    if (params_.cancel.expired()) break;
   }
   return set;
 }

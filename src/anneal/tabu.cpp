@@ -1,14 +1,33 @@
 #include "anneal/tabu.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "anneal/delta_cache.hpp"
-#include "anneal/replica_bank.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace qulrb::anneal {
+
+std::size_t tabu_argmin(std::span<const double> deltas,
+                        std::span<const std::size_t> tabu_until,
+                        std::size_t iteration, double energy,
+                        double best_energy) noexcept {
+  const std::size_t n = deltas.size();
+  std::size_t chosen = n;
+  double chosen_delta = std::numeric_limits<double>::infinity();
+  for (std::size_t v = 0; v < n; ++v) {
+    const bool tabu = tabu_until[v] >= iteration;
+    const bool aspirates = energy + deltas[v] < best_energy - 1e-12;
+    if (tabu && !aspirates) continue;
+    if (deltas[v] < chosen_delta) {
+      chosen_delta = deltas[v];
+      chosen = v;
+    }
+  }
+  return chosen;
+}
 
 Sample TabuSampler::search_once(const model::QuboModel& qubo, util::Rng& rng,
                                 const model::State& initial) const {
@@ -50,9 +69,8 @@ Sample TabuSampler::search_once(const model::QuboModel& qubo, util::Rng& rng,
     // Each iteration already scans all n deltas, so a poll every 64
     // iterations keeps the clock read off the critical path.
     if (iteration % 64 == 0 && params_.cancel.expired()) break;
-    // Pick the best admissible move; aspiration overrides tabu. The scan is
-    // the vectorized kernel (4 candidates per instruction with AVX2 active),
-    // with the same strict-less tie rule as the scalar loop it replaced.
+    // Pick the best admissible move; aspiration overrides tabu, ties go to
+    // the lowest index.
     std::size_t chosen =
         tabu_argmin(deltas, tabu_until, iteration, cache.energy(), best_energy);
     if (chosen == n) {  // everything tabu and nothing aspirates: free the oldest

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "anneal/sampleset.hpp"
 #include "model/qubo.hpp"
@@ -49,5 +51,15 @@ class TabuSampler {
  private:
   TabuParams params_;
 };
+
+/// Tabu-search candidate scan: index of the admissible variable with the
+/// smallest delta (ties resolved to the smallest index), or `deltas.size()`
+/// when nothing is admissible. A move is admissible when it is not tabu
+/// (`tabu_until[v] < iteration`) or when it aspirates
+/// (`energy + deltas[v] < best_energy - 1e-12`).
+std::size_t tabu_argmin(std::span<const double> deltas,
+                        std::span<const std::size_t> tabu_until,
+                        std::size_t iteration, double energy,
+                        double best_energy) noexcept;
 
 }  // namespace qulrb::anneal

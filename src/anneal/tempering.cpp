@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "anneal/cqm_anneal.hpp"
-#include "anneal/replica_bank.hpp"
 #include "obs/phase.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -32,15 +30,16 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
 
   util::Rng master(params_.seed);
 
-  // Per-replica RNG streams and start states, drawn in the same order as the
-  // per-walker construction this replaces (streams are independent, so
-  // splitting them all before the init draws yields identical values).
+  // Per-replica RNG streams and walkers. Streams are independent, so
+  // splitting them all before the init draws yields the same values as
+  // interleaving the two.
   std::vector<util::Rng> rngs;
   rngs.reserve(params_.num_replicas);
   for (std::size_t r = 0; r < params_.num_replicas; ++r) {
     rngs.push_back(master.split());
   }
-  std::vector<model::State> starts(params_.num_replicas);
+  std::vector<CqmIncrementalState> walkers;
+  walkers.reserve(params_.num_replicas);
   for (std::size_t r = 0; r < params_.num_replicas; ++r) {
     model::State start(n);
     if (initial.empty()) {
@@ -48,20 +47,11 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
     } else {
       start = initial;
     }
-    starts[r] = std::move(start);
+    walkers.emplace_back(cqm, std::move(start), penalties);
   }
 
-  // One single-lane bank per replica: a bank packs 64 lanes into each spin
-  // word, so replicas sharing a bank could not walk on different threads.
-  std::vector<CqmReplicaBank> banks;
-  banks.reserve(params_.num_replicas);
-  for (std::size_t r = 0; r < params_.num_replicas; ++r) {
-    banks.emplace_back(cqm, std::span<const model::State>(&starts[r], 1),
-                       std::span<const std::vector<double>>(&penalties, 1));
-  }
-
-  // Ladder position -> bank. Replica exchange swaps configurations between
-  // adjacent temperatures; the configurations stay in their banks and only
+  // Ladder position -> walker. Replica exchange swaps configurations between
+  // adjacent temperatures; the configurations stay in their walkers and only
   // this permutation moves.
   std::vector<std::size_t> perm(params_.num_replicas);
   std::iota(perm.begin(), perm.end(), std::size_t{0});
@@ -75,7 +65,7 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
       const std::size_t probes = std::min<std::size_t>(n, 256);
       for (std::size_t p = 0; p < probes; ++p) {
         const auto v = static_cast<VarId>(rngs[0].next_below(n));
-        max_abs = std::max(max_abs, std::abs(banks[perm[0]].flip_delta(0, v)));
+        max_abs = std::max(max_abs, std::abs(walkers[perm[0]].flip_delta(v)));
       }
     }
     beta_hot = std::log(2.0) / max_abs;
@@ -95,9 +85,9 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
   const PairMoveIndex& pairs =
       prebuilt_pairs != nullptr ? *prebuilt_pairs : local_pairs;
 
-  const CqmReplicaBank& last = banks[perm.back()];
-  Sample best{last.extract_state(0), last.objective(0), last.total_violation(0),
-              last.feasible(0)};
+  const CqmIncrementalState& last = walkers[perm.back()];
+  Sample best{last.state(), last.objective(), last.total_violation(),
+              last.feasible()};
 
   if (n == 0) return best;
 
@@ -123,8 +113,7 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
     IntervalWalk& out = walks[r];
     out.improvements.clear();
     out.swept = 0;
-    CqmReplicaBank& bank = banks[perm[r]];
-    auto walk = bank.lane(0);
+    CqmIncrementalState& walk = walkers[perm[r]];
     // Work on a copy: neighbouring streams share cache lines, and every
     // draw writes the stream state.
     util::Rng rng = rngs[r];
@@ -138,16 +127,16 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
           continue;
         }
         const auto v = static_cast<VarId>(rng.next_below(n));
-        const double delta = bank.flip_delta(0, v);
+        const double delta = walk.flip_delta(v);
         if (delta <= 0.0 || rng.next_double() < std::exp(-beta * delta)) {
           walk.apply_flip(v);
         }
       }
-      Sample current{{}, bank.objective(0), bank.total_violation(0),
-                     bank.feasible(0)};
+      Sample current{{}, walk.objective(), walk.total_violation(),
+                     walk.feasible()};
       if (current.better_than(running)) {
         running = current;
-        current.state = bank.extract_state(0);
+        current.state = walk.state();
         out.improvements.emplace_back(sweep, std::move(current));
       }
       ++out.swept;
@@ -156,7 +145,6 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
   };
 
   std::size_t sweeps_done = 0;
-  std::size_t lane_sweeps = 0;
   std::vector<std::size_t> cursor(params_.num_replicas);
   for (; s0 < params_.sweeps; s0 = s1) {
     if (params_.cancel.expired()) break;
@@ -176,7 +164,6 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
     bool cut_short = false;
     for (const IntervalWalk& w : walks) {
       swept = std::max(swept, w.swept);
-      lane_sweeps += w.swept;
       cut_short = cut_short || w.swept < s1 - s0;
     }
     std::fill(cursor.begin(), cursor.end(), std::size_t{0});
@@ -199,8 +186,8 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
 
     if (s1 % params_.swap_interval == 0) {
       for (std::size_t r = 0; r + 1 < perm.size(); ++r) {
-        const double ea = banks[perm[r]].total_energy(0);
-        const double eb = banks[perm[r + 1]].total_energy(0);
+        const double ea = walkers[perm[r]].total_energy();
+        const double eb = walkers[perm[r + 1]].total_energy();
         const double log_accept = (betas[r] - betas[r + 1]) * (ea - eb);
         if (log_accept >= 0.0 ||
             rngs[0].next_double() < std::exp(log_accept)) {
@@ -211,9 +198,6 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
   }
   if (params_.sweep_counter != nullptr && sweeps_done > 0) {
     params_.sweep_counter->inc(sweeps_done);
-  }
-  if (params_.replica_sweep_counter != nullptr && lane_sweeps > 0) {
-    params_.replica_sweep_counter->inc(lane_sweeps);
   }
   if (params_.flight != nullptr) {
     const double end_us = params_.flight->now_us();

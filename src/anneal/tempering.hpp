@@ -41,9 +41,6 @@ struct TemperingParams {
   /// Optional metrics sink: bumped by replica-rounds executed (sweeps over
   /// the whole ladder), once per run.
   obs::Counter* sweep_counter = nullptr;
-  /// Optional metrics sink: bumped by lane-sweeps executed through the
-  /// replica bank (rounds x replicas); feeds qulrb_solver_replica_sweeps.
-  obs::Counter* replica_sweep_counter = nullptr;
   /// Optional always-on flight ring: one compact span per run (value =
   /// ladder rounds executed). Same null discipline as `recorder`.
   obs::FlightRecorder* flight = nullptr;

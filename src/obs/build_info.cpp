@@ -1,7 +1,5 @@
 #include "obs/build_info.hpp"
 
-#include <utility>
-
 #ifndef QULRB_VERSION_STRING
 #define QULRB_VERSION_STRING "0.0.0"
 #endif
@@ -14,13 +12,12 @@
 
 namespace qulrb::obs {
 
-BuildInfo build_info(std::string simd_level) {
+BuildInfo build_info() {
   BuildInfo info;
   info.version = QULRB_VERSION_STRING;
   info.revision = QULRB_GIT_SHA;
   info.build_type = QULRB_BUILD_TYPE;
   if (info.build_type.empty()) info.build_type = "unspecified";
-  info.simd_level = std::move(simd_level);
   return info;
 }
 
@@ -29,7 +26,6 @@ void register_build_info(MetricsRegistry& registry, const BuildInfo& info,
   MetricsRegistry::Labels labels{{"version", info.version},
                                  {"revision", info.revision},
                                  {"build", info.build_type},
-                                 {"qulrb_simd_level", info.simd_level},
                                  {"role", role}};
   registry
       .gauge("qulrb_build_info",

@@ -6,19 +6,16 @@
 
 namespace qulrb::obs {
 
-/// Identity of this binary for fleet debugging: which code, which compiler
-/// mode, which kernel path. Version and git sha are stamped by CMake at
-/// configure time; the SIMD level is passed in by the caller (obs must not
-/// link the kernels — callers already know anneal::simd::level_name()).
+/// Identity of this binary for fleet debugging: which code and which
+/// compiler mode. Version and git sha are stamped by CMake at configure time.
 struct BuildInfo {
   std::string version;     ///< project version, e.g. "1.0.0"
   std::string revision;    ///< short git sha, "unknown" outside a checkout
   std::string build_type;  ///< CMake build type, "unspecified" when empty
-  std::string simd_level;  ///< "scalar" / "avx2"
 };
 
-/// The stamped identity of this binary with the caller's SIMD level.
-BuildInfo build_info(std::string simd_level);
+/// The stamped identity of this binary.
+BuildInfo build_info();
 
 /// Register the conventional `qulrb_build_info` gauge (value 1, identity in
 /// the labels — the standard Prometheus build-info idiom) in `registry`.

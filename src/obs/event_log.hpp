@@ -30,8 +30,8 @@ struct SolveEvent {
   double r_imb_after = std::numeric_limits<double>::quiet_NaN();
   double speedup = std::numeric_limits<double>::quiet_NaN();
   std::int64_t migrated = -1;  ///< task migrations; -1 = unknown
-  /// Replica-bank width the solve's sampling portfolio ran with (see
-  /// HybridSolveStats::replica_lanes); -1 = unknown / not applicable.
+  /// Chains per sampling restart (see HybridSolveStats::replica_lanes);
+  /// -1 = unknown / not applicable.
   std::int64_t replicas = -1;
   double runtime_ms = std::numeric_limits<double>::quiet_NaN();
   double queue_ms = std::numeric_limits<double>::quiet_NaN();

@@ -84,8 +84,8 @@ struct RebalanceResponse {
   bool budget_expired = false;  ///< solve returned an incumbent at the deadline
   bool cache_hit = false;       ///< session cache reused a built model
   bool cache_retargeted = false;///< hit required re-pointing at new loads
-  /// Replica-bank width the solve's sampling portfolio ran with
-  /// (HybridSolveStats::replica_lanes); 0 = never reached the portfolio.
+  /// Chains per sampling restart (HybridSolveStats::replica_lanes);
+  /// 0 = never reached the portfolio.
   std::size_t replica_lanes = 0;
 
   double queue_ms = 0.0;  ///< admission -> dispatch

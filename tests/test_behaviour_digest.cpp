@@ -1,0 +1,97 @@
+// Behaviour digests: FNV-1a 64 hashes of fixed-seed solver outputs, pinned
+// as constants. A refactor of the annealing kernels that is meant to keep
+// behaviour must leave every digest unchanged; a change that moves one must
+// say why and record the new value.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
+#include "anneal/sa.hpp"
+#include "lrp/cqm_builder.hpp"
+#include "lrp/kselect.hpp"
+#include "lrp/quantum_solver.hpp"
+#include "model/cqm_to_qubo.hpp"
+#include "workloads/samoa.hpp"
+#include "workloads/scenarios.hpp"
+
+namespace qulrb {
+namespace {
+
+class Fnv1a {
+ public:
+  void add(std::uint64_t value) noexcept {
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= (value >> (8 * b)) & 0xffU;
+      h_ *= 1099511628211ULL;
+    }
+  }
+  std::string hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h_));
+    return buf;
+  }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ULL;
+};
+
+// Table V (sam(oa)^2, M=32, n=208) at the settings of
+// Hybrid.TableVPlansIdenticalAtOneAndFourThreads: seed 1, 40 sweeps, 3
+// restarts. The digest covers the M x M plan counts in (to, from) order.
+std::string table_v_plan_digest(lrp::CqmVariant variant, bool use_k1) {
+  const workloads::SamoaWorkload workload = workloads::make_samoa_workload();
+  const lrp::KSelection ks = lrp::select_k(workload.problem);
+  lrp::QcqmOptions options;
+  options.variant = variant;
+  options.k = use_k1 ? ks.k1 : ks.k2;
+  options.hybrid.seed = 1;
+  options.hybrid.sweeps = 40;
+  options.hybrid.num_restarts = 3;
+  options.hybrid.threads = 4;
+  const lrp::MigrationPlan plan = lrp::QcqmSolver(options).solve(workload.problem).plan;
+  Fnv1a h;
+  const std::size_t m = plan.num_processes();
+  for (std::size_t to = 0; to < m; ++to) {
+    for (std::size_t from = 0; from < m; ++from) {
+      h.add(static_cast<std::uint64_t>(plan.count(to, from)));
+    }
+  }
+  return h.hex();
+}
+
+TEST(BehaviourDigest, TableVQcqm1K1Plan) {
+  EXPECT_EQ(table_v_plan_digest(lrp::CqmVariant::kReduced, true), "ac6785e9cf4f91cb");
+}
+
+TEST(BehaviourDigest, TableVQcqm2K2Plan) {
+  EXPECT_EQ(table_v_plan_digest(lrp::CqmVariant::kFull, false), "b0108c2390852a37");
+}
+
+// SimulatedAnnealer::sample on the penalty QUBO of the M=8, n=50 Table II
+// instance: 8 reads, no recorder, no deadline. The digest covers every
+// read's state bits and the bit pattern of its energy, in read order.
+TEST(BehaviourDigest, SimulatedAnnealerSampleSet) {
+  const lrp::LrpProblem problem = workloads::scenarios::imbalance_levels()[4].problem;
+  const lrp::LrpCqm cqm(problem, lrp::CqmVariant::kReduced,
+                        lrp::select_k(problem).k1);
+  const model::QuboConversion conv = model::cqm_to_qubo(cqm.cqm());
+  anneal::SaParams params;
+  params.sweeps = 100;
+  params.num_reads = 8;
+  params.seed = 3;
+  const anneal::SampleSet set = anneal::SimulatedAnnealer(params).sample(conv.qubo);
+  ASSERT_EQ(set.size(), params.num_reads);
+  Fnv1a h;
+  for (std::size_t r = 0; r < set.size(); ++r) {
+    for (const std::uint8_t bit : set.at(r).state) h.add(bit);
+    h.add(std::bit_cast<std::uint64_t>(set.at(r).energy));
+  }
+  EXPECT_EQ(h.hex(), "79da1f85cfc6469d");
+}
+
+}  // namespace
+}  // namespace qulrb

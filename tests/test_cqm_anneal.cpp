@@ -1,9 +1,20 @@
 #include <gtest/gtest.h>
 #include "util/error.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "anneal/cqm_anneal.hpp"
 #include "anneal/tempering.hpp"
+#include "lrp/cqm_builder.hpp"
+#include "lrp/problem.hpp"
+#include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qulrb::anneal {
 namespace {
@@ -240,6 +251,211 @@ TEST(ParallelTempering, RequiresTwoReplicas) {
   TemperingParams params;
   params.num_replicas = 1;
   EXPECT_THROW(ParallelTempering(params).run(m, std::vector<double>{}), util::InvalidArgument);
+}
+
+// ------------------------------------------------- tempering vs reference -
+
+// Every equality below is bitwise: doubles are compared with EXPECT_EQ (IEEE
+// equality on identical bit patterns), never near().
+void expect_sample_eq(const Sample& a, const Sample& b) {
+  EXPECT_EQ(a.state, b.state);
+  EXPECT_EQ(a.energy, b.energy);
+  EXPECT_EQ(a.violation, b.violation);
+  EXPECT_EQ(a.feasible, b.feasible);
+}
+
+// Small but structurally complete LRP instance: skewed loads, unequal task
+// counts, tight migration bound — exercises squared groups, inequality and
+// (for kFull) equality constraints, and non-trivial pair-move classes.
+CqmModel skewed_lrp_cqm(lrp::CqmVariant variant) {
+  const lrp::LrpProblem problem({30.0, 9.0, 8.0, 4.0, 3.0, 2.0},
+                                {12, 12, 12, 12, 12, 12});
+  return lrp::build_lrp_cqm(problem, variant, 8, {}).cqm();
+}
+
+// Reference replica exchange with configuration swaps: an exchange
+// physically swaps the walker objects between ladder positions, and every
+// walker sweeps in ladder order on one thread. The production
+// ParallelTempering keeps configurations in place, swaps a ladder
+// permutation instead, and walks each swap interval as per-replica tasks —
+// the two must be indistinguishable draw for draw and bit for bit.
+Sample reference_tempering(const model::CqmModel& cqm,
+                           const std::vector<double>& penalties,
+                           const TemperingParams& params,
+                           const PairMoveIndex& pairs) {
+  const std::size_t n = cqm.num_variables();
+  util::Rng master(params.seed);
+  std::vector<util::Rng> rngs;
+  for (std::size_t r = 0; r < params.num_replicas; ++r) rngs.push_back(master.split());
+
+  std::vector<CqmIncrementalState> walkers;
+  for (std::size_t r = 0; r < params.num_replicas; ++r) {
+    model::State start(n);
+    for (auto& b : start) b = static_cast<std::uint8_t>(rngs[r].next_below(2));
+    walkers.emplace_back(cqm, std::move(start), penalties);
+  }
+
+  double beta_hot = params.beta_hot;
+  double beta_cold = params.beta_cold;
+  if (beta_hot <= 0.0 || beta_cold <= 0.0) {
+    double max_abs = 1e-9;
+    const std::size_t probes = std::min<std::size_t>(n, 256);
+    for (std::size_t p = 0; p < probes; ++p) {
+      const auto v = static_cast<model::VarId>(rngs[0].next_below(n));
+      max_abs = std::max(max_abs, std::abs(walkers[0].flip_delta(v)));
+    }
+    beta_hot = std::log(2.0) / max_abs;
+    beta_cold = 1e4 / max_abs;
+  }
+  std::vector<double> betas(params.num_replicas);
+  for (std::size_t r = 0; r < params.num_replicas; ++r) {
+    const double t = static_cast<double>(r) /
+                     static_cast<double>(params.num_replicas - 1);
+    betas[r] = beta_hot * std::pow(beta_cold / beta_hot, t);
+  }
+
+  auto snapshot = [](const CqmIncrementalState& w) {
+    return Sample{w.state(), w.objective(), w.total_violation(), w.feasible()};
+  };
+  Sample best = snapshot(walkers.back());
+
+  for (std::size_t sweep = 0; sweep < params.sweeps; ++sweep) {
+    for (std::size_t r = 0; r < walkers.size(); ++r) {
+      auto& walk = walkers[r];
+      auto& rng = rngs[r];
+      const double beta = betas[r];
+      for (std::size_t step = 0; step < n; ++step) {
+        if (!pairs.empty() && rng.next_bool(0.5)) {
+          pairs.attempt(walk, rng, beta);
+          continue;
+        }
+        const auto v = static_cast<model::VarId>(rng.next_below(n));
+        const double delta = walk.flip_delta(v);
+        if (delta <= 0.0 || rng.next_double() < std::exp(-beta * delta)) {
+          walk.apply_flip(v);
+        }
+      }
+      Sample current{{}, walk.objective(), walk.total_violation(), walk.feasible()};
+      if (current.better_than(best)) {
+        current.state = walk.state();
+        best = std::move(current);
+      }
+    }
+    if ((sweep + 1) % params.swap_interval == 0) {
+      for (std::size_t r = 0; r + 1 < walkers.size(); ++r) {
+        const double ea = walkers[r].total_energy();
+        const double eb = walkers[r + 1].total_energy();
+        const double log_accept = (betas[r] - betas[r + 1]) * (ea - eb);
+        if (log_accept >= 0.0 || rngs[0].next_double() < std::exp(log_accept)) {
+          std::swap(walkers[r], walkers[r + 1]);
+        }
+      }
+    }
+  }
+  return best;
+}
+
+TEST(ParallelTempering, PermutationSwapMatchesConfigurationSwap) {
+  for (const auto variant : {lrp::CqmVariant::kReduced, lrp::CqmVariant::kFull}) {
+    const model::CqmModel cqm = skewed_lrp_cqm(variant);
+    const PairMoveIndex pairs = PairMoveIndex::build(cqm);
+    const std::vector<double> penalties(cqm.num_constraints(), 2.0);
+    TemperingParams params;
+    params.num_replicas = 4;
+    params.sweeps = 30;
+    params.swap_interval = 5;
+    params.seed = 31;
+    const Sample expected = reference_tempering(cqm, penalties, params, pairs);
+    const Sample got = ParallelTempering(params).run(cqm, penalties, {}, &pairs);
+    SCOPED_TRACE(variant == lrp::CqmVariant::kReduced ? "Q_CQM1" : "Q_CQM2");
+    expect_sample_eq(got, expected);
+  }
+}
+
+TEST(ParallelTempering, DeterministicAndCountsRounds) {
+  const model::CqmModel cqm = skewed_lrp_cqm(lrp::CqmVariant::kReduced);
+  const PairMoveIndex pairs = PairMoveIndex::build(cqm);
+  const std::vector<double> penalties(cqm.num_constraints(), 2.0);
+
+  obs::MetricsRegistry reg;
+  TemperingParams params;
+  params.num_replicas = 4;
+  params.sweeps = 20;
+  params.swap_interval = 5;
+  params.seed = 77;
+  params.sweep_counter = &reg.counter("rounds");
+
+  const Sample a = ParallelTempering(params).run(cqm, penalties, {}, &pairs);
+  EXPECT_EQ(reg.counter("rounds").value(), 20u);
+
+  const Sample b = ParallelTempering(params).run(cqm, penalties, {}, &pairs);
+  expect_sample_eq(a, b);
+}
+
+/// min (sum x - 4)^2 s.t. sum x <= 6 over 12 variables: 495 optimal
+/// states, so several replicas reach an equal best in the same sweep and the
+/// earliest-position tie rule decides which state is returned.
+model::CqmModel degenerate_cqm() {
+  model::CqmModel m;
+  for (int i = 0; i < 12; ++i) m.add_variable();
+  model::LinearExpr g(-4.0);
+  model::LinearExpr cap;
+  for (model::VarId v = 0; v < 12; ++v) {
+    g.add_term(v, 1.0);
+    cap.add_term(v, 1.0);
+  }
+  m.add_squared_group(std::move(g), 1.0);
+  m.add_constraint(std::move(cap), model::Sense::LE, 6.0);
+  return m;
+}
+
+// Interval tasks on a pool replay the sequential ladder scan exactly: the
+// same incumbent as the reference at every pool size (and inline), and the
+// same incumbent-energy trace samples.
+TEST(ParallelTempering, PoolOfAnySizeMatchesReference) {
+  const std::pair<const char*, model::CqmModel> models[] = {
+      {"Q_CQM1", skewed_lrp_cqm(lrp::CqmVariant::kReduced)},
+      {"Q_CQM2", skewed_lrp_cqm(lrp::CqmVariant::kFull)},
+      {"degenerate", degenerate_cqm()},
+  };
+  for (const auto& [label, cqm] : models) {
+    SCOPED_TRACE(label);
+    const PairMoveIndex pairs = PairMoveIndex::build(cqm);
+    const std::vector<double> penalties(cqm.num_constraints(), 2.0);
+    TemperingParams params;
+    params.num_replicas = 6;
+    params.sweeps = 33;  // the last interval is partial and ends without a swap
+    params.swap_interval = 5;
+    params.seed = 19;
+    const Sample expected = reference_tempering(cqm, penalties, params, pairs);
+
+    auto incumbent_trace = [](const obs::Recorder& recorder) {
+      std::vector<double> values;
+      for (const auto& s : recorder.samples()) values.push_back(s.value);
+      return values;
+    };
+    obs::Recorder inline_recorder("inline");
+    params.recorder = &inline_recorder;
+    expect_sample_eq(ParallelTempering(params).run(cqm, penalties, {}, &pairs),
+                     expected);
+    const std::vector<double> inline_trace = incumbent_trace(inline_recorder);
+    EXPECT_FALSE(inline_trace.empty());
+
+    for (const std::size_t workers : {1u, 2u, 3u, 6u}) {
+      SCOPED_TRACE("pool of " + std::to_string(workers));
+      util::ThreadPool pool(workers);
+      obs::Recorder recorder("pool");
+      params.pool = &pool;
+      params.recorder = &recorder;
+      expect_sample_eq(ParallelTempering(params).run(cqm, penalties, {}, &pairs),
+                       expected);
+      EXPECT_EQ(incumbent_trace(recorder), inline_trace);
+      params.recorder = nullptr;
+      expect_sample_eq(ParallelTempering(params).run(cqm, penalties, {}, &pairs),
+                       expected);
+      params.pool = nullptr;
+    }
+  }
 }
 
 }  // namespace

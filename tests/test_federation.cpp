@@ -140,13 +140,13 @@ TEST(HistogramWire, SerializedMergeMatchesLiveMerge) {
 
 TEST(BuildInfo, ExpositionConformance) {
   MetricsRegistry registry;
-  obs::register_build_info(registry, obs::build_info("avx2"), "serve");
+  obs::register_build_info(registry, obs::build_info(), "serve");
   const std::string text = registry.to_prometheus();
   EXPECT_NE(text.find("# TYPE qulrb_build_info gauge"), std::string::npos)
       << text;
   EXPECT_NE(text.find("qulrb_build_info{"), std::string::npos);
-  for (const char* label : {"version=", "revision=", "build=",
-                            "qulrb_simd_level=\"avx2\"", "role=\"serve\""}) {
+  for (const char* label :
+       {"version=", "revision=", "build=", "role=\"serve\""}) {
     EXPECT_NE(text.find(label), std::string::npos) << label;
   }
   EXPECT_NE(text.find("} 1"), std::string::npos);
@@ -210,9 +210,9 @@ TEST(Federation, MergesCountersGaugesAndHistogramsExactly) {
 
 TEST(Federation, BuildInfoStaysPerInstance) {
   MetricsRegistry a;
-  obs::register_build_info(a, obs::build_info("avx2"), "serve");
+  obs::register_build_info(a, obs::build_info(), "serve");
   MetricsRegistry b;
-  obs::register_build_info(b, obs::build_info("scalar"), "serve");
+  obs::register_build_info(b, obs::build_info(), "serve");
 
   Federation federation(2);
   ASSERT_TRUE(feed(federation, 0, "127.0.0.1:7471", obs_doc(a), 10.0));
@@ -224,8 +224,6 @@ TEST(Federation, BuildInfoStaysPerInstance) {
   EXPECT_EQ(text.find("qulrb_fleet_build_info"), std::string::npos) << text;
   EXPECT_NE(text.find("instance=\"127.0.0.1:7471\""), std::string::npos);
   EXPECT_NE(text.find("instance=\"127.0.0.1:7472\""), std::string::npos);
-  EXPECT_NE(text.find("qulrb_simd_level=\"avx2\""), std::string::npos);
-  EXPECT_NE(text.find("qulrb_simd_level=\"scalar\""), std::string::npos);
 }
 
 TEST(Federation, MalformedUpdateLeavesSnapshotUntouched) {

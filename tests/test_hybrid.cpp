@@ -2,6 +2,7 @@
 #include "util/error.hpp"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "anneal/hybrid.hpp"
@@ -9,6 +10,9 @@
 #include "lrp/kselect.hpp"
 #include "lrp/problem.hpp"
 #include "lrp/quantum_solver.hpp"
+#include "obs/event_log.hpp"
+#include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 #include "workloads/samoa.hpp"
@@ -224,6 +228,82 @@ TEST(Hybrid, TableVPlansIdenticalAtOneAndFourThreads) {
       }
     }
   }
+}
+
+// Every equality below is bitwise: doubles are compared with EXPECT_EQ (IEEE
+// equality on identical bit patterns), never near().
+void expect_sample_eq(const Sample& a, const Sample& b) {
+  EXPECT_EQ(a.state, b.state);
+  EXPECT_EQ(a.energy, b.energy);
+  EXPECT_EQ(a.violation, b.violation);
+  EXPECT_EQ(a.feasible, b.feasible);
+}
+
+// Small LRP instance with skewed loads and a tight migration bound, so the
+// sampling portfolio has real constraints to satisfy.
+CqmModel skewed_lrp_cqm() {
+  const lrp::LrpProblem problem({30.0, 9.0, 8.0, 4.0, 3.0, 2.0},
+                                {12, 12, 12, 12, 12, 12});
+  return lrp::build_lrp_cqm(problem, lrp::CqmVariant::kReduced, 8, {}).cqm();
+}
+
+HybridSolverParams lrp_portfolio_params() {
+  HybridSolverParams params;
+  params.num_restarts = 4;
+  params.sweeps = 60;
+  params.seed = 42;
+  params.threads = 1;
+  params.exhaustive_max_vars = 0;  // force the sampling portfolio
+  return params;
+}
+
+// The scheduling contract: the portfolio produces the same bytes whether it
+// runs inline or on a shared pool of any size, with tracing on or off.
+TEST(Hybrid, OutputInvariantAcrossThreads) {
+  const model::CqmModel cqm = skewed_lrp_cqm();
+  const auto serial = HybridCqmSolver(lrp_portfolio_params()).solve(cqm);
+  EXPECT_EQ(serial.stats.replica_lanes, 1u);
+  for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+    for (const bool traced : {false, true}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) +
+                   (traced ? " traced" : " untraced"));
+      obs::Recorder recorder("solve");
+      auto params = lrp_portfolio_params();
+      params.threads = threads;
+      params.recorder = traced ? &recorder : nullptr;
+      const auto got = HybridCqmSolver(params).solve(cqm);
+      expect_sample_eq(got.best, serial.best);
+      EXPECT_EQ(got.stats.restarts_used, serial.stats.restarts_used);
+      EXPECT_EQ(got.stats.penalty_rounds_used, serial.stats.penalty_rounds_used);
+      ASSERT_EQ(got.samples.size(), serial.samples.size());
+      for (std::size_t i = 0; i < got.samples.size(); ++i) {
+        SCOPED_TRACE("sample " + std::to_string(i));
+        expect_sample_eq(got.samples.at(i), serial.samples.at(i));
+      }
+    }
+  }
+}
+
+TEST(Hybrid, CountsSweeps) {
+  const CqmModel cqm = skewed_lrp_cqm();
+  obs::MetricsRegistry reg;
+  auto params = lrp_portfolio_params();
+  params.metrics = &reg;
+  const auto result = HybridCqmSolver(params).solve(cqm);
+  EXPECT_TRUE(result.best.feasible);
+  EXPECT_EQ(result.stats.replica_lanes, 1u);
+  // Every annealed restart runs at least `sweeps` sweeps; the tempered
+  // restart adds its ladder rounds on top.
+  EXPECT_GE(reg.counter("qulrb_solver_sweeps_total").value(),
+            (params.num_restarts - 1) * params.sweeps);
+}
+
+TEST(Hybrid, SolveEventSerializesReplicasFieldWhenKnown) {
+  obs::SolveEvent event;
+  event.source = "test";
+  EXPECT_EQ(obs::to_json_line(event).find("replicas"), std::string::npos);
+  event.replicas = 8;
+  EXPECT_NE(obs::to_json_line(event).find("\"replicas\":8"), std::string::npos);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include "util/error.hpp"
 
 #include <limits>
+#include <string>
 
 #include "anneal/sa.hpp"
 #include "anneal/schedule.hpp"
@@ -155,6 +156,35 @@ TEST(SimulatedAnnealer, ZeroVariableModel) {
   const auto best = SimulatedAnnealer(p5).sample(q).best();
   ASSERT_TRUE(best.has_value());
   EXPECT_DOUBLE_EQ(best->energy, 4.0);
+}
+
+// Every read of sample() is anneal_once on the read's own pre-split stream,
+// in read order, whether or not a recorder or deadline is attached.
+TEST(SimulatedAnnealer, SampleReadsMatchAnnealOnce) {
+  QuboModel q(120);
+  util::Rng gen(7);
+  for (VarId i = 0; i < 120; ++i) {
+    q.add_linear(i, gen.next_double() * 4.0 - 2.0);
+    for (int t = 0; t < 4; ++t) {
+      const auto j = static_cast<VarId>(gen.next_below(120));
+      if (j != i) q.add_quadratic(i, j, gen.next_double() * 2.0 - 1.0);
+    }
+  }
+  SaParams params;
+  params.sweeps = 40;
+  params.num_reads = 6;
+  params.seed = 17;
+  const SimulatedAnnealer annealer(params);
+  const SampleSet got = annealer.sample(q);
+  ASSERT_EQ(got.size(), params.num_reads);
+  util::Rng master(params.seed);
+  for (std::size_t read = 0; read < params.num_reads; ++read) {
+    SCOPED_TRACE("read " + std::to_string(read));
+    util::Rng rng = master.split();
+    const Sample expected = annealer.anneal_once(q, rng);
+    EXPECT_EQ(got.at(read).state, expected.state);
+    EXPECT_EQ(got.at(read).energy, expected.energy);
+  }
 }
 
 // ----------------------------------------------------------- sampleset -----

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 #include "anneal/sa.hpp"
 #include "anneal/tabu.hpp"
@@ -146,6 +147,41 @@ TEST(Tabu, DecodesToValidPlanOnLrpQubo) {
   lrp::MigrationPlan plan = cqm.decode(conv.project(best->state));
   lrp::repair_plan(problem, plan);
   EXPECT_NO_THROW(plan.validate(problem));
+}
+
+// Tabu candidate scan vs a plain reference loop over admissibility
+// (not tabu, or aspirating) with the strict-less, lowest-index tie rule.
+TEST(Tabu, ArgminMatchesReferenceScan) {
+  util::Rng gen(23);
+  for (std::size_t trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + gen.next_below(70);
+    std::vector<double> deltas(n);
+    std::vector<std::size_t> tabu_until(n);
+    const std::size_t iteration = gen.next_below(50);
+    // Quantized deltas force exact ties; generous tabu spans force both the
+    // all-tabu and the aspiration branches across trials.
+    for (std::size_t v = 0; v < n; ++v) {
+      deltas[v] = static_cast<double>(gen.next_in(-4, 4));
+      tabu_until[v] = gen.next_below(60);
+    }
+    const double energy = static_cast<double>(gen.next_in(-10, 10));
+    const double best_energy = static_cast<double>(gen.next_in(-10, 10));
+
+    std::size_t expected = n;
+    double best_delta = 0.0;
+    for (std::size_t v = 0; v < n; ++v) {
+      const bool tabu = tabu_until[v] >= iteration;
+      const bool aspirates = energy + deltas[v] < best_energy - 1e-12;
+      if (tabu && !aspirates) continue;
+      if (expected == n || deltas[v] < best_delta) {
+        expected = v;
+        best_delta = deltas[v];
+      }
+    }
+
+    EXPECT_EQ(tabu_argmin(deltas, tabu_until, iteration, energy, best_energy),
+              expected);
+  }
 }
 
 }  // namespace

@@ -157,9 +157,7 @@ void serve_connection(router::Router& router, int fd,
 
 int run(const RouterOptions& options) {
   router::Router router(options.router);
-  // The router moves no solver kernels itself — its SIMD level is "scalar".
-  obs::register_build_info(router.registry(), obs::build_info("scalar"),
-                           "router");
+  obs::register_build_info(router.registry(), obs::build_info(), "router");
   router.start();
 
   const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);

@@ -46,7 +46,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "anneal/simd.hpp"
 #include "io/json.hpp"
 #include "obs/build_info.hpp"
 #include "obs/event_log.hpp"
@@ -165,13 +164,11 @@ class ProtocolSession {
         io::JsonWriter w;
         w.begin_object();
         w.field("role", "serve");
-        const obs::BuildInfo info = obs::build_info(
-            anneal::simd::level_name(anneal::simd::active_level()));
+        const obs::BuildInfo info = obs::build_info();
         w.key("build").begin_object();
         w.field("version", info.version);
         w.field("revision", info.revision);
         w.field("build", info.build_type);
-        w.field("simd_level", info.simd_level);
         w.end_object();
         w.key("registry");
         obs::write_registry_obs_json(svc_.metrics_registry(), w);
@@ -612,11 +609,8 @@ int main(int argc, char** argv) {
     options.service.slo = &slo;
 
     service::RebalanceService svc(options.service);
-    obs::register_build_info(
-        svc.metrics_registry(),
-        obs::build_info(
-            anneal::simd::level_name(anneal::simd::active_level())),
-        "serve");
+    obs::register_build_info(svc.metrics_registry(), obs::build_info(),
+                             "serve");
     if (options.port > 0) return run_tcp(svc, options);
     return run_stdio(svc, options);
   } catch (const std::exception& error) {
