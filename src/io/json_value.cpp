@@ -56,8 +56,15 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Recursion depth is stack depth: an untrusted line of a million
+        // '[' must be an error, not a stack overflow.
+        if (++depth_ > kMaxDepth) fail(pos_, "nesting too deep");
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue::make_string(parse_string());
       case 't':
         if (!consume_literal("true")) fail(pos_, "bad literal");
@@ -196,8 +203,11 @@ class Parser {
     return JsonValue::make_number(value);
   }
 
+  static constexpr std::size_t kMaxDepth = 256;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< containers open at pos_
 };
 
 }  // namespace
@@ -218,6 +228,8 @@ double JsonValue::as_number() const {
 
 std::int64_t JsonValue::as_int() const {
   const double v = as_number();
+  // Range-check before the cast: converting an out-of-range double is UB.
+  util::require(v >= -0x1p63 && v < 0x1p63, "JsonValue: integer out of range");
   const auto i = static_cast<std::int64_t>(v);
   util::require(static_cast<double>(i) == v, "JsonValue: number is not integral");
   return i;

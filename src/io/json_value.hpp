@@ -23,7 +23,7 @@ class JsonValue {
   JsonValue() = default;  // null
 
   /// Parse a complete document; throws util::InvalidArgument on malformed
-  /// input or trailing garbage.
+  /// input, trailing garbage, or nesting deeper than 256 containers.
   static JsonValue parse(std::string_view text);
 
   Kind kind() const noexcept { return kind_; }
@@ -34,7 +34,7 @@ class JsonValue {
   /// Typed accessors; throw util::InvalidArgument on kind mismatch.
   bool as_bool() const;
   double as_number() const;
-  std::int64_t as_int() const;  ///< number that must be integral
+  std::int64_t as_int() const;  ///< number that must be integral and fit int64
   const std::string& as_string() const;
   const Array& as_array() const;
   const Object& as_object() const;

@@ -1,13 +1,8 @@
 #include "router/backend_pool.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "util/error.hpp"
@@ -43,29 +38,6 @@ std::vector<BackendAddress> parse_backend_list(const std::string& csv) {
   util::require(!out.empty(), "backend list is empty");
   return out;
 }
-
-namespace {
-
-/// Write the whole line + newline; retries EINTR, treats a send timeout the
-/// same as a dead peer. Returns false on any unrecoverable failure.
-bool send_all(int fd, const std::string& line) {
-  std::string framed = line;
-  framed.push_back('\n');
-  std::size_t sent = 0;
-  while (sent < framed.size()) {
-    const ssize_t n =
-        ::send(fd, framed.data() + sent, framed.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;  // EPIPE, timeout (EAGAIN with SO_SNDTIMEO), EBADF, ...
-    }
-    if (n == 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 BackendPool::BackendPool(Params params, obs::MetricsRegistry& registry)
     : params_(std::move(params)), epoch_(std::chrono::steady_clock::now()) {
@@ -112,55 +84,34 @@ void BackendPool::stop() {
     Backend& backend = *backends_[b];
     const int fd = backend.fd.load(std::memory_order_relaxed);
     if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-    if (backend.reader.joinable()) backend.reader.join();
-    if (fd >= 0) {
-      ::close(fd);
-      backend.fd.store(-1, std::memory_order_relaxed);
-    }
+    close_connection(backend);
   }
+}
+
+void BackendPool::close_connection(Backend& backend) {
+  if (backend.reader.joinable()) backend.reader.join();
+  std::lock_guard<std::mutex> lock(backend.write_mutex);
+  backend.conn.reset();
+  const int fd = backend.fd.exchange(-1, std::memory_order_acq_rel);
+  if (fd >= 0) ::close(fd);
 }
 
 bool BackendPool::connect_backend(std::size_t b) {
   Backend& backend = *backends_[b];
   backend.last_attempt = std::chrono::steady_clock::now();
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = net::connect_tcp(backend.addr.host, backend.addr.port);
   if (fd < 0) return false;
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  // A backend that stops reading must not wedge the router's client
-  // sessions: bound the send side, and bound recv so the reader thread can
-  // poll the stop flag.
-  struct timeval send_tv;
-  send_tv.tv_sec = static_cast<time_t>(params_.send_timeout_ms / 1000.0);
-  send_tv.tv_usec = static_cast<suseconds_t>(
-      static_cast<long>(params_.send_timeout_ms * 1000.0) % 1000000);
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_tv, sizeof(send_tv));
-  struct timeval recv_tv;
-  recv_tv.tv_sec = 0;
-  recv_tv.tv_usec = 100 * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_tv, sizeof(recv_tv));
 
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(backend.addr.port));
-  if (::inet_pton(AF_INET, backend.addr.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return false;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return false;
-  }
-
-  // The previous reader (if any) exited when its connection died; reap it
-  // before handing the slot a new thread.
-  if (backend.reader.joinable()) backend.reader.join();
   // Bump the generation before publishing healthy: anyone who observes the
   // new healthy=true also observes the new generation.
   const std::uint64_t gen =
       backend.conn_gen.load(std::memory_order_relaxed) + 1;
   backend.conn_gen.store(gen, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(backend.write_mutex);
+    backend.conn = std::make_unique<net::LineConn>(fd);
+  }
   backend.fd.store(fd, std::memory_order_release);
   backend.healthy.store(true, std::memory_order_release);
   backend.g_healthy->set(1.0);
@@ -195,53 +146,40 @@ void BackendPool::mark_down(std::size_t b, std::uint64_t gen) {
 }
 
 bool BackendPool::send(std::size_t backend_idx, const std::string& line) {
-  Backend& backend = *backends_[backend_idx];
-  bool sent = false;
-  std::uint64_t gen = 0;
-  {
-    std::lock_guard<std::mutex> lock(backend.write_mutex);
-    if (!backend.healthy.load(std::memory_order_acquire)) return false;
-    gen = backend.conn_gen.load(std::memory_order_relaxed);
-    const int fd = backend.fd.load(std::memory_order_acquire);
-    if (fd < 0) return false;
-    sent = send_all(fd, line);
-  }
-  // The down-path runs with no write_mutex held: on_down_ re-forwards this
-  // backend's orphaned routes through send() to OTHER backends, so two
-  // backends failing concurrently on different threads would deadlock on
-  // each other's write_mutex if mark_down ran under the lock.
-  if (!sent) mark_down(backend_idx, gen);
-  return sent;
+  return send_control(backend_idx, line, nullptr);
 }
 
 bool BackendPool::send_control(std::size_t backend_idx, const std::string& line,
                                ControlCallback callback) {
   Backend& backend = *backends_[backend_idx];
   bool sent = false;
-  std::uint64_t token = 0;
+  std::uint64_t token = 0;  // 0: no waiter (a plain send)
   std::uint64_t gen = 0;
   {
     std::lock_guard<std::mutex> lock(backend.write_mutex);
-    if (!backend.healthy.load(std::memory_order_acquire)) return false;
+    if (!backend.healthy.load(std::memory_order_acquire) || !backend.conn) {
+      return false;
+    }
     gen = backend.conn_gen.load(std::memory_order_relaxed);
-    const int fd = backend.fd.load(std::memory_order_acquire);
-    if (fd < 0) return false;
     // Register and send under one hold of write_mutex: the reader matches
     // responses to waiters FIFO, so registration order must equal wire
     // order. As two separate critical sections, concurrent callers could
     // register in one order and send in the other, cross-wiring responses.
-    {
+    if (callback) {
       std::lock_guard<std::mutex> control_lock(backend.control_mutex);
       token = backend.next_control_token++;
       backend.control_waiters.push_back({token, std::move(callback)});
     }
-    sent = send_all(fd, line);
+    sent = backend.conn->send(line);
   }
   if (sent) return true;
   // Nothing will answer; withdraw exactly our waiter by token (mark_down may
-  // have drained it already, answering it with nullptr), then take the
-  // down-path outside write_mutex (see send()).
-  {
+  // have drained it already, answering it with nullptr). The down-path runs
+  // with no write_mutex held: on_down_ re-forwards this backend's orphaned
+  // routes through send() to OTHER backends, so two backends failing
+  // concurrently on different threads would deadlock on each other's
+  // write_mutex if mark_down ran under the lock.
+  if (token != 0) {
     std::lock_guard<std::mutex> control_lock(backend.control_mutex);
     for (auto it = backend.control_waiters.begin();
          it != backend.control_waiters.end(); ++it) {
@@ -257,47 +195,34 @@ bool BackendPool::send_control(std::size_t backend_idx, const std::string& line,
 
 void BackendPool::reader_loop(std::size_t b, int fd, std::uint64_t gen) {
   Backend& backend = *backends_[b];
-  std::string buffer;
-  char chunk[4096];
-  while (!stopping_.load(std::memory_order_relaxed) &&
-         backend.healthy.load(std::memory_order_acquire)) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-      break;
+  // No stop poll and no line cap: the peer is a trusted backend whose flight
+  // and profile answers run large, and mark_down/stop shut the fd down,
+  // which ends the read.
+  net::LineReader reader(fd, 0);
+  std::string line;
+  while (reader.next(line)) {
+    io::JsonValue doc;
+    try {
+      doc = io::JsonValue::parse(line);
+    } catch (const std::exception&) {
+      continue;  // a torn line means the stream is sick, but keep reading
     }
-    if (n == 0) break;  // backend closed
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
-         nl = buffer.find('\n', start)) {
-      const std::string line = buffer.substr(start, nl - start);
-      start = nl + 1;
-      if (line.empty()) continue;
-      io::JsonValue doc;
-      try {
-        doc = io::JsonValue::parse(line);
-      } catch (const std::exception&) {
-        continue;  // a torn line means the stream is sick, but keep reading
-      }
-      if (doc.find("stats") != nullptr || doc.find("metrics") != nullptr ||
-          doc.find("traces") != nullptr || doc.find("obs") != nullptr ||
-          doc.find("flight") != nullptr || doc.find("profile") != nullptr) {
-        // Control responses come back in send order on this connection.
-        ControlCallback cb;
-        {
-          std::lock_guard<std::mutex> lock(backend.control_mutex);
-          if (!backend.control_waiters.empty()) {
-            cb = std::move(backend.control_waiters.front().callback);
-            backend.control_waiters.pop_front();
-          }
+    if (doc.find("stats") != nullptr || doc.find("metrics") != nullptr ||
+        doc.find("traces") != nullptr || doc.find("obs") != nullptr ||
+        doc.find("flight") != nullptr || doc.find("profile") != nullptr) {
+      // Control responses come back in send order on this connection.
+      ControlCallback cb;
+      {
+        std::lock_guard<std::mutex> lock(backend.control_mutex);
+        if (!backend.control_waiters.empty()) {
+          cb = std::move(backend.control_waiters.front().callback);
+          backend.control_waiters.pop_front();
         }
-        if (cb) cb(&line, &doc);
-      } else if (on_line_) {
-        on_line_(b, line, doc);
       }
+      if (cb) cb(&line, &doc);
+    } else if (on_line_) {
+      on_line_(b, line, doc);
     }
-    buffer.erase(0, start);
   }
   if (!stopping_.load(std::memory_order_relaxed)) mark_down(b, gen);
 }
@@ -341,15 +266,9 @@ void BackendPool::maintenance_loop() {
           since < params_.reconnect_ms) {
         continue;
       }
-      // Sole closer: the old reader has exited (or never started); retire
-      // the dead fd before dialing again.
-      const int old_fd = backend.fd.load(std::memory_order_acquire);
-      if (old_fd >= 0) {
-        if (backend.reader.joinable()) backend.reader.join();
-        std::lock_guard<std::mutex> lock(backend.write_mutex);
-        ::close(old_fd);
-        backend.fd.store(-1, std::memory_order_release);
-      }
+      // Sole closer: the old reader has exited (or never started); reap it
+      // and retire the dead fd before dialing again.
+      close_connection(backend);
       connect_backend(b);
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(10));

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "io/json_value.hpp"
+#include "net/line.hpp"
 #include "obs/metrics.hpp"
 #include "router/policy.hpp"
 
@@ -45,7 +46,6 @@ class BackendPool {
     std::vector<BackendAddress> backends;
     double probe_interval_ms = 50.0;   ///< health/stats probe cadence
     double reconnect_ms = 200.0;       ///< retry cadence for down backends
-    double send_timeout_ms = 2000.0;   ///< SO_SNDTIMEO toward a backend
   };
 
   /// A solve/cancel/error response line from a backend (already parsed once;
@@ -126,7 +126,10 @@ class BackendPool {
     /// after the maintenance thread already reconnected must not tear down
     /// the fresh connection.
     std::atomic<std::uint64_t> conn_gen{0};
+    /// Orders sends on the connection (and control-waiter registration
+    /// with them); guards `conn`, which lives as long as `fd` is open.
     std::mutex write_mutex;
+    std::unique_ptr<net::LineConn> conn;
     std::thread reader;
 
     // Probe data (written by the probe callback on the reader thread).
@@ -151,6 +154,8 @@ class BackendPool {
 
   double now_ms() const;
   bool connect_backend(std::size_t b);
+  /// Join the reader of a shut-down connection and close its fd.
+  void close_connection(Backend& backend);
   void mark_down(std::size_t b, std::uint64_t gen);
   void reader_loop(std::size_t b, int fd, std::uint64_t gen);
   void maintenance_loop();

@@ -1,0 +1,145 @@
+// Deterministic mutation fuzzing of the two parsers that read untrusted
+// request lines: io::JsonValue::parse and service::parse_request_line. Seeds
+// are request lines the tests and CI already send; each case applies a few
+// random byte-level and token-level mutations under a fixed seed, so a
+// failure reproduces exactly. Every input must either parse or throw
+// util::InvalidArgument; any other exception fails the test, and a crash or
+// memory error fails it under the sanitizer builds.
+
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <exception>
+#include <string>
+#include <vector>
+
+#include "io/json_value.hpp"
+#include "service/protocol.hpp"
+#include "util/error.hpp"
+#include "util/rng.hpp"
+
+namespace qulrb {
+namespace {
+
+constexpr std::size_t kIterations = 20000;
+
+const std::vector<std::string>& seeds() {
+  static const std::vector<std::string> lines = {
+      R"({"op":"solve","id":1,"loads":[10,2,2,2],"counts":[8,8,8,8],"k":6,"sweeps":300,"restarts":1})",
+      R"({"op":"solve","id":1,"loads":[30,4,4,4,4,4,4,4],"counts":[16,16,16,16,16,16,16,16],"k":8,"sweeps":300,"restarts":2,"seed":7,"target_rimb":1.2,"simulate":true,"sim_iterations":3})",
+      R"({"op":"solve","id":9,"loads":[30,4,4,4],"counts":[8,8,8,8],"k":4,"sweeps":200,"seed":3})",
+      R"({"op":"solve","id":3,"loads":[20,2,2,2],"counts":[8,8,8,8],"k":4,"sweeps":200,"restarts":1,"seed":3})",
+      R"({"op":"solve","id":2,"loads":[30,4,4,4],"counts":[8,8,8,8],"k":4,"sweeps":300,"restarts":1,"seed":7,"simulate":true,"sim_iterations":2})",
+      R"({"op":"solve","id":7,"loads":[10,2,2,2],"counts":[8,8,8,8],"variant":"qcqm2","k":4,"priority":2,"deadline_ms":50,"sweeps":400,"restarts":2,"seed":9,"time_limit_ms":25,"target_rimb":1.25,"simulate":true,"sim_iterations":5,"rid":77,"router_ms":0.25,"plan":true})",
+      R"({"loads":[3,1],"counts":[4,4]})",
+      R"({"op":"cancel","id":3})",
+      R"({"op":"stats"})",
+      R"({"op":"health"})",
+      R"({"op":"metrics"})",
+      R"({"op":"trace","n":2})",
+      R"({"op":"obs"})",
+      R"({"op":"flight_dump","id":5,"window_s":30,"rid":42})",
+      R"({"op":"profile","id":3,"seconds":2.5})",
+      R"({"op":"shutdown"})",
+  };
+  return lines;
+}
+
+/// Fragments a mutation splices in: JSON structure, escapes, numbers at the
+/// edges of double and int64, and the protocol's own keys and values.
+const std::vector<std::string>& tokens() {
+  static const std::vector<std::string> words = {
+      "{", "}", "[", "]", "\"", ",", ":", "\\", "null", "true", "false", "-",
+      "-0", "0.5", "1e308", "-1e308", "1e999", "4.9e-324", "9007199254740993",
+      "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+      "1e19", "-1", "\\u0000", "\\ud800", "\\uffff", "\\\"", "\"op\"",
+      "\"solve\"", "\"cancel\"", "\"trace\"", "\"profile\"", "\"loads\"",
+      "\"counts\"", "\"k\"", "\"id\"", "\"rid\"", "\"n\"", "\"sweeps\"",
+      "\"restarts\"", "\"variant\"", "\"qcqm2\"", "\"seconds\"",
+      "\"sim_iterations\"", "\"sim_threads\"", "\"priority\"", "[]", "{}",
+      "\"\"", std::string(1, '\0'), "\x7f", "\xff", "\t", "\r", "\n"};
+  return words;
+}
+
+std::string repeat(const std::string& piece, std::size_t n) {
+  std::string out;
+  out.reserve(piece.size() * n);
+  for (std::size_t i = 0; i < n; ++i) out += piece;
+  return out;
+}
+
+std::size_t pick(util::Rng& rng, std::size_t n) {
+  return static_cast<std::size_t>(rng.next_below(n));
+}
+
+void mutate_once(util::Rng& rng, std::string& s) {
+  const std::size_t pos = pick(rng, s.size() + 1);
+  switch (pick(rng, 8)) {
+    case 0:  // flip one bit
+      if (!s.empty()) s[pick(rng, s.size())] ^= static_cast<char>(1u << pick(rng, 8));
+      break;
+    case 1:  // overwrite one byte
+      if (!s.empty()) s[pick(rng, s.size())] = static_cast<char>(rng.next_below(256));
+      break;
+    case 2:  // insert a token
+      s.insert(pos, tokens()[pick(rng, tokens().size())]);
+      break;
+    case 3:  // delete a range
+      s.erase(pos, pick(rng, 16));
+      break;
+    case 4: {  // duplicate a range
+      const std::string piece = s.substr(pos, pick(rng, 32));
+      s.insert(pick(rng, s.size() + 1), piece);
+      break;
+    }
+    case 5:  // truncate
+      s.resize(pos);
+      break;
+    case 6: {  // splice the tail of another seed
+      const std::string& other = seeds()[pick(rng, seeds().size())];
+      s = s.substr(0, pos) + other.substr(pick(rng, other.size() + 1));
+      break;
+    }
+    default: {  // nest deeply
+      const std::size_t depth = 1 + pick(rng, rng.next_bool(0.05) ? 100000 : 300);
+      const bool array = rng.next_bool(0.5);
+      s = (array ? std::string(depth, '[') : repeat("{\"a\":", depth)) + s +
+          std::string(depth, array ? ']' : '}');
+      break;
+    }
+  }
+}
+
+template <typename Parse>
+void fuzz(std::uint64_t seed, Parse parse) {
+  util::Rng rng(seed);
+  std::size_t parsed = 0;
+  for (std::size_t i = 0; i < kIterations; ++i) {
+    std::string input = seeds()[pick(rng, seeds().size())];
+    const std::size_t rounds = 1 + pick(rng, 4);
+    for (std::size_t r = 0; r < rounds; ++r) mutate_once(rng, input);
+    try {
+      parse(input);
+      ++parsed;
+    } catch (const util::InvalidArgument&) {
+      // the documented rejection
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "iteration " << i << " threw " << e.what() << " on: "
+                    << input.substr(0, 200);
+    }
+  }
+  // Mutations keep some inputs valid, so the accept path is fuzzed too.
+  EXPECT_GT(parsed, kIterations / 100);
+}
+
+TEST(Fuzz, JsonValueParse) {
+  fuzz(0x5eed0001, [](const std::string& line) { (void)io::JsonValue::parse(line); });
+}
+
+TEST(Fuzz, ParseRequestLine) {
+  fuzz(0x5eed0002,
+       [](const std::string& line) { (void)service::parse_request_line(line); });
+}
+
+}  // namespace
+}  // namespace qulrb

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "io/json_value.hpp"
 #include "util/error.hpp"
 
@@ -68,6 +71,19 @@ TEST(JsonValue, LenientAccessorsFallBack) {
   EXPECT_THROW(doc.string_or("n", "fallback"), util::InvalidArgument);
   EXPECT_TRUE(doc.bool_or("b", false));
   EXPECT_FALSE(doc.bool_or("missing", false));
+}
+
+TEST(JsonValue, NestingDepthAndIntegerRangeAreBounded) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(JsonValue::parse(nested(256)).is_array());
+  EXPECT_THROW(JsonValue::parse(nested(257)), util::InvalidArgument);
+  EXPECT_THROW(JsonValue::parse(nested(1000000)), util::InvalidArgument);
+
+  EXPECT_EQ(JsonValue::parse("-9223372036854775808").as_int(), INT64_MIN);
+  EXPECT_THROW(JsonValue::parse("9223372036854775808").as_int(), util::InvalidArgument);
+  EXPECT_THROW(JsonValue::parse("-1e300").as_int(), util::InvalidArgument);
 }
 
 TEST(JsonValue, ErrorMessagesCarryOffset) {

@@ -31,10 +31,6 @@
 // — per-class latency is what the server-side SLO engine pages on, so the
 // client view must be sliced the same way.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -52,6 +48,7 @@
 
 #include "io/json.hpp"
 #include "io/json_value.hpp"
+#include "net/line.hpp"
 #include "obs/metrics.hpp"
 #include "router/backend_pool.hpp"
 #include "router/policy.hpp"
@@ -438,43 +435,10 @@ int run_inproc_open(const LoadgenOptions& options) {
 }
 
 int connect_to(const router::BackendAddress& target) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  util::require(fd >= 0, "loadgen: socket() failed");
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(target.port));
-  util::require(::inet_pton(AF_INET, target.host.c_str(), &addr.sin_addr) == 1,
-                "loadgen: bad host " + target.host);
-  util::require(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
-                "loadgen: connect to " + target.label() +
-                    " failed (is the server running?)");
+  const int fd = net::connect_tcp(target.host, target.port);
+  util::require(fd >= 0, "loadgen: connect to " + target.label() +
+                             " failed (is the server running?)");
   return fd;
-}
-
-/// Encode request #seq as a protocol line — the canonical encoder the router
-/// coalesces on, so loadgen traffic is coalescible by construction.
-std::string encode_request_line(const LoadgenOptions& options, std::uint64_t seq) {
-  return service::encode_solve_request(make_request(options, seq), seq + 1,
-                                       /*include_plan=*/false) +
-         "\n";
-}
-
-/// Read one line from fd into `line` using `buffer` as carry-over.
-bool read_line(int fd, std::string& buffer, std::string& line) {
-  while (true) {
-    const std::size_t nl = buffer.find('\n');
-    if (nl != std::string::npos) {
-      line = buffer.substr(0, nl);
-      buffer.erase(0, nl + 1);
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) return false;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-  }
 }
 
 int run_tcp_closed(const LoadgenOptions& options) {
@@ -487,21 +451,19 @@ int run_tcp_closed(const LoadgenOptions& options) {
   for (std::size_t c = 0; c < options.concurrency; ++c) {
     clients.emplace_back([&, c] {
       const int fd = connect_to(options.targets[c % options.targets.size()]);
-      std::string buffer, line;
+      net::LineConn conn(fd);
+      net::LineReader reader(fd, 0);  // trusted server output: no cap
+      std::string line;
       while (true) {
         const std::uint64_t seq = next_seq.fetch_add(1);
         if (seq >= options.requests) break;
-        const std::string request = encode_request_line(options, seq);
+        // The canonical encoder the router coalesces on, so loadgen traffic
+        // is coalescible by construction.
+        const std::string request = service::encode_solve_request(
+            make_request(options, seq), seq + 1, /*include_plan=*/false);
         util::WallTimer timer;
-        std::size_t sent = 0;
-        while (sent < request.size()) {
-          const ssize_t n = ::send(fd, request.data() + sent,
-                                   request.size() - sent, MSG_NOSIGNAL);
-          util::require(n > 0, "loadgen: send() failed");
-          sent += static_cast<std::size_t>(n);
-        }
-        util::require(read_line(fd, buffer, line),
-                      "loadgen: server closed the connection");
+        util::require(conn.send(request), "loadgen: send() failed");
+        util::require(reader.next(line), "loadgen: server closed the connection");
         const io::JsonValue response = io::JsonValue::parse(line);
         // Same (seed-free) class mapping make_request used when encoding #seq.
         const int priority =
@@ -525,10 +487,10 @@ int run_tcp_closed(const LoadgenOptions& options) {
   for (const router::BackendAddress& target : options.targets) {
     try {
       const int fd = connect_to(target);
-      const std::string stats_req = "{\"op\":\"stats\"}\n";
-      (void)!::send(fd, stats_req.data(), stats_req.size(), MSG_NOSIGNAL);
-      std::string buffer, line;
-      if (read_line(fd, buffer, line)) {
+      net::LineConn conn(fd);
+      net::LineReader reader(fd, 0);
+      std::string line;
+      if (conn.send("{\"op\":\"stats\"}") && reader.next(line)) {
         const io::JsonValue doc = io::JsonValue::parse(line);
         if (const io::JsonValue* stats = doc.find("stats")) {
           if (const io::JsonValue* c = stats->find("cache")) cache.add(*c);

@@ -39,23 +39,11 @@
 // stack at instance:<backend-label> (instance:router for the router's own
 // samples) — feed it straight to flamegraph.pl or speedscope.
 
-#include <arpa/inet.h>
-#include <csignal>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cerrno>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
+#include "net/line.hpp"
 #include "obs/build_info.hpp"
 #include "router/router.hpp"
 #include "util/error.hpp"
@@ -64,23 +52,6 @@ namespace {
 
 using namespace qulrb;
 
-volatile std::sig_atomic_t g_signal = 0;
-
-extern "C" void on_signal(int signum) { g_signal = signum; }
-
-void install_signal_handlers() {
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sa_handler = on_signal;
-  sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;  // no SA_RESTART: blocking accept/recv must EINTR
-  ::sigaction(SIGINT, &sa, nullptr);
-  ::sigaction(SIGTERM, &sa, nullptr);
-  ::signal(SIGPIPE, SIG_IGN);  // dead clients surface as EPIPE, not death
-}
-
-bool signalled() { return g_signal != 0; }
-
 struct RouterOptions {
   int port = 0;
   router::Router::Params router;
@@ -88,118 +59,36 @@ struct RouterOptions {
   bool quiet = false;
 };
 
-void send_all(int fd, const std::string& line) {
-  std::string framed = line;
-  framed.push_back('\n');
-  std::size_t sent = 0;
-  while (sent < framed.size()) {
-    const ssize_t n =
-        ::send(fd, framed.data() + sent, framed.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // client gone; responses are best-effort
-    }
-    if (n == 0) return;
-    sent += static_cast<std::size_t>(n);
-  }
-}
-
-void serve_connection(router::Router& router, int fd,
-                      std::atomic<bool>& shutdown) {
-  struct timeval tv;
-  tv.tv_sec = 0;
-  tv.tv_usec = 200 * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  // A client that stops reading must not wedge backend reader threads that
-  // deliver through this socket.
-  struct timeval snd_tv;
-  snd_tv.tv_sec = 2;
-  snd_tv.tv_usec = 0;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &snd_tv, sizeof(snd_tv));
-
-  // Serialize writes: backend reader threads and this session's own control
-  // responses interleave line-atomically.
-  auto write_mutex = std::make_shared<std::mutex>();
-  const std::uint64_t session = router.register_session(
-      [fd, write_mutex](const std::string& line) {
-        std::lock_guard<std::mutex> lock(*write_mutex);
-        send_all(fd, line);
-      });
-
-  std::string buffer;
-  char chunk[4096];
-  bool open = true;
-  while (open && !shutdown.load(std::memory_order_relaxed) && !signalled()) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-      break;
-    }
-    if (n == 0) break;  // client closed
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
-         nl = buffer.find('\n', start)) {
-      std::string line = buffer.substr(start, nl - start);
-      start = nl + 1;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (!line.empty() && !router.handle_client_line(session, line)) {
-        shutdown.store(true, std::memory_order_relaxed);
-        open = false;
-        break;
-      }
-    }
-    buffer.erase(0, start);
-  }
-  router.unregister_session(session);
-  ::close(fd);
-}
-
 int run(const RouterOptions& options) {
   router::Router router(options.router);
   obs::register_build_info(router.registry(), obs::build_info(), "router");
   router.start();
 
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  util::require(listen_fd >= 0, "router: socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(options.port));
-  util::require(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                       sizeof(addr)) == 0,
-                "router: bind() failed (port in use?)");
-  util::require(::listen(listen_fd, 128) == 0, "router: listen() failed");
+  const int listen_fd = net::listen_tcp(options.port);
   if (!options.quiet) {
     std::cerr << "qulrb_router: listening on 127.0.0.1:" << options.port
               << ", " << options.router.pool.backends.size() << " backend(s), "
               << "policy " << router::to_string(options.router.policy) << "\n";
   }
 
-  std::atomic<bool> shutdown{false};
-  std::vector<std::thread> connections;
-  std::thread watcher([&] {
-    while (!shutdown.load(std::memory_order_relaxed) && !signalled()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    ::shutdown(listen_fd, SHUT_RDWR);
-    ::close(listen_fd);
+  net::serve_tcp(listen_fd, [&router](net::LineConn& conn, net::LineReader& reader) {
+    // The router's session lock serialises backend reader threads and this
+    // session's own control responses, and drops deliveries after
+    // unregister_session, so conn is never written once this returns, on
+    // any path out.
+    const std::uint64_t session =
+        router.register_session([&conn](const std::string& line) { conn.send(line); });
+    struct Unregister {
+      router::Router& owner;
+      std::uint64_t id;
+      ~Unregister() { owner.unregister_session(id); }
+    } unregister{router, session};
+    std::string line;
+    bool open = true;
+    while (open && reader.next(line)) open = router.handle_client_line(session, line);
+    if (reader.overflowed()) conn.send(service::encode_error("request line too long", 0));
+    return open;
   });
-
-  while (true) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR && !signalled()) continue;
-      break;
-    }
-    connections.emplace_back(
-        [&router, fd, &shutdown] { serve_connection(router, fd, shutdown); });
-  }
-  shutdown.store(true, std::memory_order_relaxed);
-  watcher.join();
-  for (auto& t : connections) t.join();
 
   if (!options.metrics_out.empty()) {
     std::ofstream out(options.metrics_out, std::ios::trunc);
@@ -294,7 +183,7 @@ int main(int argc, char** argv) {
     util::require(options.port > 0, "router: --port is required");
     util::require(!options.router.pool.backends.empty(),
                   "router: --backends is required");
-    install_signal_handlers();
+    net::install_stop_signals();
     return run(options);
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";

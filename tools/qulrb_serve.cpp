@@ -25,28 +25,20 @@
 //
 // See src/service/protocol.hpp for the line format.
 
-#include <arpa/inet.h>
-#include <csignal>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
-#include <atomic>
-#include <cerrno>
-#include <cstring>
+#include <condition_variable>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "io/json.hpp"
+#include "net/line.hpp"
 #include "obs/build_info.hpp"
 #include "obs/event_log.hpp"
 #include "obs/flight_recorder.hpp"
@@ -61,29 +53,6 @@
 namespace {
 
 using namespace qulrb;
-
-/// Written by the signal handler, polled by every accept/read loop. A plain
-/// volatile sig_atomic_t is the only thing a handler may portably touch.
-volatile std::sig_atomic_t g_signal = 0;
-
-extern "C" void on_signal(int signum) { g_signal = signum; }
-
-void install_signal_handlers() {
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sa_handler = on_signal;
-  sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;  // deliberately no SA_RESTART: blocking reads must EINTR
-  ::sigaction(SIGINT, &sa, nullptr);
-  ::sigaction(SIGTERM, &sa, nullptr);
-  // A client that closes (or half-closes) its socket while a response is in
-  // flight must surface as EPIPE from send(), not kill the server. send()
-  // also passes MSG_NOSIGNAL, but the signal disposition covers any write
-  // path that doesn't.
-  ::signal(SIGPIPE, SIG_IGN);
-}
-
-bool signalled() { return g_signal != 0; }
 
 struct ServeOptions {
   int port = 0;  ///< 0 = stdin/stdout mode
@@ -118,14 +87,23 @@ struct ServeOptions {
 };
 
 /// One protocol session: parses request lines, forwards them to the service,
-/// and serialises response lines through a caller-provided writer. Thread
-/// safe against the service's worker callbacks.
+/// and writes response lines to the connection. Thread safe against the
+/// service's worker callbacks.
 class ProtocolSession {
  public:
-  ProtocolSession(service::RebalanceService& svc,
-                  std::function<void(const std::string&)> write_line,
-                  std::atomic<bool>& shutdown_flag)
-      : svc_(svc), write_line_(std::move(write_line)), shutdown_(shutdown_flag) {}
+  ProtocolSession(service::RebalanceService& svc, net::LineConn& conn)
+      : svc_(svc), conn_(conn) {}
+
+  /// Waits until every solve this session submitted has been answered and
+  /// its response write has returned, since those callbacks write to conn_.
+  /// Other sessions' work is theirs to wait for.
+  ~ProtocolSession() {
+    std::unique_lock<std::mutex> lock(map_mutex_);
+    idle_.wait(lock, [this] { return pending_ == 0; });
+  }
+
+  ProtocolSession(const ProtocolSession&) = delete;
+  ProtocolSession& operator=(const ProtocolSession&) = delete;
 
   /// Handle one request line. Returns false when the session should end
   /// (shutdown requested).
@@ -134,27 +112,26 @@ class ProtocolSession {
     try {
       request = service::parse_request_line(line);
     } catch (const std::exception& e) {
-      write(service::encode_error(e.what(), 0));
+      conn_.send(service::encode_error(e.what(), 0));
       return true;
     }
     switch (request.op) {
       case service::OpKind::kShutdown:
-        shutdown_.store(true, std::memory_order_relaxed);
         return false;
       case service::OpKind::kStats:
-        write(service::encode_stats(svc_.stats()));
+        conn_.send(service::encode_stats(svc_.stats()));
         return true;
       case service::OpKind::kHealth:
         // The router's 50ms probe: relaxed-atomic reads only, never the
         // mutex-taking stats() snapshot.
-        write(service::encode_health(svc_.queue_depth(), svc_.inflight(),
-                                     svc_.cache_hit_rate()));
+        conn_.send(service::encode_health(svc_.queue_depth(), svc_.inflight(),
+                                          svc_.cache_hit_rate()));
         return true;
       case service::OpKind::kMetrics:
-        write(service::encode_metrics(svc_.metrics_text()));
+        conn_.send(service::encode_metrics(svc_.metrics_text()));
         return true;
       case service::OpKind::kTrace:
-        write(service::encode_traces(svc_.last_traces(request.trace_count)));
+        conn_.send(service::encode_traces(svc_.last_traces(request.trace_count)));
         return true;
       case service::OpKind::kObs: {
         // Federation pull: the whole registry in wire form, this binary's
@@ -177,7 +154,7 @@ class ProtocolSession {
           svc_.params().slo->write_json(w, svc_.now_ms());
         }
         w.end_object();
-        write(service::encode_obs_response(request.client_id, w.str()));
+        conn_.send(service::encode_obs_response(request.client_id, w.str()));
         return true;
       }
       case service::OpKind::kProfile: {
@@ -185,7 +162,7 @@ class ProtocolSession {
         if (profiler == nullptr) {
           // Same FIFO-alignment rule as flight_dump below: always answer
           // with a "profile" key, null when the sampler is off.
-          write(service::encode_profile_response(request.client_id, "null"));
+          conn_.send(service::encode_profile_response(request.client_id, "null"));
           return true;
         }
         obs::ProfileExportOptions opts;
@@ -193,7 +170,7 @@ class ProtocolSession {
         opts.hz = profiler->hz();
         opts.window_s = request.profile_seconds;
         obs::prof::Symbolizer symbolizer;
-        write(service::encode_profile_response(
+        conn_.send(service::encode_profile_response(
             request.client_id,
             obs::profile_to_json(profiler->snapshot(request.profile_seconds),
                                  symbolizer, opts)));
@@ -205,10 +182,10 @@ class ProtocolSession {
           // A "flight" key even when disabled: the router classifies
           // control responses by their top-level key, so an error-shaped
           // reply here would desync its per-connection FIFO.
-          write(service::encode_flight_response(request.client_id, "null"));
+          conn_.send(service::encode_flight_response(request.client_id, "null"));
           return true;
         }
-        write(service::encode_flight_response(
+        conn_.send(service::encode_flight_response(
             request.client_id,
             obs::flight_to_perfetto_json(*flight, request.window_s,
                                          request.flight_rid, "manual",
@@ -223,7 +200,7 @@ class ProtocolSession {
           if (it != inflight_.end()) service_id = it->second;
         }
         if (service_id == 0 || !svc_.cancel(service_id)) {
-          write(service::encode_error("unknown or finished id", request.client_id));
+          conn_.send(service::encode_error("unknown or finished id", request.client_id));
         }
         return true;
       }
@@ -235,6 +212,10 @@ class ProtocolSession {
     // `answered` guards the id map against the synchronous-rejection path:
     // the callback may run before submit() returns the service id.
     auto answered = std::make_shared<bool>(false);
+    {
+      std::lock_guard<std::mutex> lock(map_mutex_);
+      ++pending_;
+    }
     const std::uint64_t service_id = svc_.submit(
         std::move(request.request),
         [this, client_id, include_plan, answered](service::RebalanceResponse r) {
@@ -243,7 +224,11 @@ class ProtocolSession {
             *answered = true;
             inflight_.erase(client_id);
           }
-          write(service::encode_response(client_id, r, include_plan));
+          conn_.send(service::encode_response(client_id, r, include_plan));
+          // Last touch of this session: it may be destroyed as soon as the
+          // count drops.
+          std::lock_guard<std::mutex> lock(map_mutex_);
+          if (--pending_ == 0) idle_.notify_all();
         });
     {
       std::lock_guard<std::mutex> lock(map_mutex_);
@@ -253,17 +238,12 @@ class ProtocolSession {
   }
 
  private:
-  void write(const std::string& line) {
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    write_line_(line);
-  }
-
   service::RebalanceService& svc_;
-  std::function<void(const std::string&)> write_line_;
-  std::atomic<bool>& shutdown_;
-  std::mutex write_mutex_;
+  net::LineConn& conn_;
   std::mutex map_mutex_;
   std::unordered_map<std::uint64_t, std::uint64_t> inflight_;  ///< client -> service id
+  std::size_t pending_ = 0;  ///< submitted solves whose callback has not finished
+  std::condition_variable idle_;
 };
 
 /// Graceful teardown shared by every exit path: optionally shed the backlog
@@ -302,156 +282,34 @@ void shutdown_service(service::RebalanceService& svc,
   }
 }
 
-/// Read stdin line by line through poll() so SIGINT/SIGTERM and the
-/// protocol's shutdown op are both noticed promptly — a blocked getline would
-/// hold the drain hostage until the next newline arrived.
+/// Stdio mode: the reader polls so SIGINT/SIGTERM and the shutdown op are
+/// noticed promptly, not at the next newline.
 int run_stdio(service::RebalanceService& svc, const ServeOptions& options) {
-  std::atomic<bool> shutdown{false};
-  ProtocolSession session(
-      svc, [](const std::string& line) { std::cout << line << "\n" << std::flush; },
-      shutdown);
-  std::string buffer;
-  char chunk[4096];
-  bool open = true;
-  while (open && !shutdown.load(std::memory_order_relaxed) && !signalled()) {
-    struct pollfd pfd;
-    pfd.fd = STDIN_FILENO;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int ready = ::poll(&pfd, 1, 200);
-    if (ready < 0) {
-      if (errno == EINTR) continue;  // signal: loop condition decides
-      break;
-    }
-    if (ready == 0) continue;  // timeout: re-check the flags
-    const ssize_t n = ::read(STDIN_FILENO, chunk, sizeof(chunk));
-    if (n <= 0) break;  // EOF or error: treat as end of session
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
-         nl = buffer.find('\n', start)) {
-      std::string line = buffer.substr(start, nl - start);
-      start = nl + 1;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (!line.empty() && !session.handle_line(line)) {
-        open = false;
-        break;
-      }
-    }
-    buffer.erase(0, start);
+  net::LineConn out(STDOUT_FILENO);
+  net::LineReader in(STDIN_FILENO, net::kMaxRequestLine, net::stop_requested);
+  ProtocolSession session(svc, out);
+  std::string line;
+  while (in.next(line) && session.handle_line(line)) {
   }
-  shutdown_service(svc, options, signalled() != 0);
+  if (in.overflowed()) out.send(service::encode_error("request line too long", 0));
+  shutdown_service(svc, options, net::stop_requested());
   return 0;
 }
 
-void send_all(int fd, const std::string& line) {
-  std::string framed = line;
-  framed.push_back('\n');
-  std::size_t sent = 0;
-  while (sent < framed.size()) {
-    const ssize_t n =
-        ::send(fd, framed.data() + sent, framed.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;  // a signal must not tear a response line
-      return;  // EPIPE / timeout: peer gone or wedged; responses are best-effort
-    }
-    if (n == 0) return;
-    sent += static_cast<std::size_t>(n);
-  }
-}
-
-void serve_connection(service::RebalanceService& svc, int fd,
-                      std::atomic<bool>& shutdown) {
-  // Bounded recv so the loop re-checks the shutdown flag and pending signals
-  // even on an idle connection.
-  struct timeval tv;
-  tv.tv_sec = 0;
-  tv.tv_usec = 200 * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  // Bound sends too: a client that stops draining its socket (or a dying one
-  // whose window never reopens) must not park a worker callback in send()
-  // forever — after the timeout the response is dropped and the worker moves
-  // on to requests whose clients are still alive.
-  struct timeval snd_tv;
-  snd_tv.tv_sec = 2;
-  snd_tv.tv_usec = 0;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &snd_tv, sizeof(snd_tv));
-
-  ProtocolSession session(
-      svc, [fd](const std::string& line) { send_all(fd, line); }, shutdown);
-  std::string buffer;
-  char chunk[4096];
-  bool open = true;
-  while (open && !shutdown.load(std::memory_order_relaxed) && !signalled()) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-      break;
-    }
-    if (n == 0) break;  // peer closed
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
-         nl = buffer.find('\n', start)) {
-      std::string line = buffer.substr(start, nl - start);
-      start = nl + 1;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (!line.empty() && !session.handle_line(line)) {
-        open = false;
-        break;
-      }
-    }
-    buffer.erase(0, start);
-  }
-  // Answer in-flight requests of this connection before closing the socket:
-  // their callbacks write through fd.
-  svc.drain();
-  ::close(fd);
-}
-
 int run_tcp(service::RebalanceService& svc, const ServeOptions& options) {
-  const int port = options.port;
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  util::require(listen_fd >= 0, "serve: socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  util::require(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                       sizeof(addr)) == 0,
-                "serve: bind() failed (port in use?)");
-  util::require(::listen(listen_fd, 128) == 0, "serve: listen() failed");
+  const int listen_fd = net::listen_tcp(options.port);
   if (!options.quiet) {
-    std::cerr << "qulrb_serve: listening on 127.0.0.1:" << port << "\n";
+    std::cerr << "qulrb_serve: listening on 127.0.0.1:" << options.port << "\n";
   }
-
-  std::atomic<bool> shutdown{false};
-  std::vector<std::thread> connections;
-  // The shutdown op or a signal trips the flag; closing the listen socket
-  // from the watcher unblocks accept() so the loop can exit.
-  std::thread watcher([&] {
-    while (!shutdown.load(std::memory_order_relaxed) && !signalled()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    ::shutdown(listen_fd, SHUT_RDWR);
-    ::close(listen_fd);
+  net::serve_tcp(listen_fd, [&svc](net::LineConn& conn, net::LineReader& reader) {
+    ProtocolSession session(svc, conn);
+    std::string line;
+    bool open = true;
+    while (open && reader.next(line)) open = session.handle_line(line);
+    if (reader.overflowed()) conn.send(service::encode_error("request line too long", 0));
+    return open;
   });
-
-  while (true) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR && !signalled()) continue;
-      break;  // listen socket closed by the watcher, or a shutdown signal
-    }
-    connections.emplace_back(
-        [&svc, fd, &shutdown] { serve_connection(svc, fd, shutdown); });
-  }
-  shutdown.store(true, std::memory_order_relaxed);
-  watcher.join();
-  for (auto& t : connections) t.join();
-  shutdown_service(svc, options, signalled() != 0);
+  shutdown_service(svc, options, net::stop_requested());
   return 0;
 }
 
@@ -529,7 +387,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    install_signal_handlers();
+    net::install_stop_signals();
 
     std::optional<obs::EventLog> events;
     if (!options.events_out.empty()) {
