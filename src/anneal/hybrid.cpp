@@ -167,11 +167,7 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     m_solve_ms = &reg.histogram("qulrb_solver_solve_ms",
                                 "Hybrid solve wall time in milliseconds");
   }
-  // The recorder comes either from the explicit pointer or from the
-  // request's trace context; both follow the same null-object discipline.
-  obs::Recorder* const rec = params_.recorder != nullptr
-                                 ? params_.recorder
-                                 : params_.trace.recorder();
+  obs::Recorder* const rec = params_.recorder;
   // Flight-ring name codes, interned once per solve (cold path).
   const std::uint16_t f_anneal =
       params_.flight != nullptr ? params_.flight->intern("anneal") : 0;
@@ -317,14 +313,12 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
   streams.reserve(params_.num_restarts);
   for (std::size_t r = 0; r < params_.num_restarts; ++r) streams.push_back(master.split());
 
-  // Standalone solves render restarts on tracks 1..R; inside a request trace
-  // the block is claimed from the context's shared allocator so restart rows
-  // never collide with rows other layers (service queue, BSP ranks) claim in
-  // the same document.
+  // Restart rows are claimed from the recorder, so they never collide with
+  // rows other layers (BSP ranks) claim in the same document; a solve on a
+  // fresh recorder renders them on tracks 1..R.
   const std::uint32_t restart_track_base =
-      params_.trace.active()
-          ? params_.trace.claim_tracks(
-                static_cast<std::uint32_t>(params_.num_restarts))
+      rec != nullptr
+          ? rec->claim_tracks(static_cast<std::uint32_t>(params_.num_restarts))
           : 1;
 
   // Feasibility polish: steepest descent with current penalties, then

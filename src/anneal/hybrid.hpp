@@ -7,7 +7,7 @@
 #include "anneal/sampleset.hpp"
 #include "model/cqm.hpp"
 #include "model/presolve.hpp"
-#include "obs/trace_context.hpp"
+#include "obs/recorder.hpp"
 #include "util/cancel.hpp"
 
 namespace qulrb::anneal {
@@ -73,21 +73,17 @@ struct HybridSolverParams {
   double simulated_qpu_access_ms = 32.0;
   /// Optional trace sink: phase spans (presolve, pair-index build, each
   /// restart on its own track, polish, penalty adaptation) plus the
-  /// samplers' incumbent timelines. Same discipline as `cancel`: consumes no
-  /// RNG and never changes control flow, so results are bitwise identical
-  /// with tracing on or off.
+  /// samplers' incumbent timelines. The restart tracks are claimed from the
+  /// recorder, so a solve inside a service request shares one Perfetto
+  /// document with the queue spans and the BSP rank rows without row
+  /// collisions. Same discipline as `cancel`: consumes no RNG and never
+  /// changes control flow, so results are bitwise identical with tracing on
+  /// or off.
   obs::Recorder* recorder = nullptr;
   /// Optional metrics sink: solve/restart/penalty-round/sweep counters and a
   /// solve-latency histogram, registered under qulrb_solver_*. Handles are
   /// resolved once per solve; sweep loops only touch lock-free counters.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Request-scoped trace context. When active it supplies the recorder
-  /// (unless `recorder` above is set explicitly) and — crucially — the
-  /// restart track ids are claimed from its shared allocator, so a solver
-  /// running inside a service request shares one Perfetto document with the
-  /// queue spans and the BSP rank tracks without row collisions. Same
-  /// zero-cost-off discipline as `recorder`.
-  obs::TraceContext trace;
   /// Optional always-on flight ring: every anneal and tempering run of the
   /// portfolio leaves one compact span, stamped with
   /// `flight_rid` so an anomaly dump can slice out the triggering request's

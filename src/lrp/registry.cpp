@@ -37,7 +37,6 @@ std::unique_ptr<RebalanceSolver> make_solver(const SolverSpec& spec,
     options.hybrid.num_restarts = spec.restarts;
     options.hybrid.recorder = spec.recorder;
     options.hybrid.metrics = spec.metrics;
-    options.hybrid.trace = spec.trace;
     return std::make_unique<QcqmSolver>(options);
   }
   if (spec.name == "qubo") {

@@ -8,7 +8,6 @@
 #include "lrp/solver.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace_context.hpp"
 
 namespace qulrb::lrp {
 
@@ -26,9 +25,6 @@ struct SolverSpec {
   /// (null for the classical heuristics, which have nothing to record).
   obs::Recorder* recorder = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
-  /// Request-scoped trace context (request id + shared track allocation);
-  /// forwarded to the hybrid solver alongside `recorder`.
-  obs::TraceContext trace;
 };
 
 /// All names accepted by make_solver.

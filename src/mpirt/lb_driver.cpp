@@ -44,11 +44,9 @@ LiveExecResult run_live(const lrp::LrpProblem& problem, const lrp::MigrationPlan
 
   // Per-rank trace tracks are claimed once, up front, so the rank threads
   // only append spans (the Recorder serializes internally).
-  obs::Recorder* const rec = config.trace.recorder();
+  obs::Recorder* const rec = config.recorder;
   const std::uint32_t track_base =
-      config.trace.active()
-          ? config.trace.claim_tracks(static_cast<std::uint32_t>(m))
-          : 0;
+      rec != nullptr ? rec->claim_tracks(static_cast<std::uint32_t>(m)) : 0;
   if (rec != nullptr) {
     for (std::size_t i = 0; i < m; ++i) {
       rec->name_track(track_base + static_cast<std::uint32_t>(i),
@@ -119,7 +117,7 @@ LiveExecResult run_live(const lrp::LrpProblem& problem, const lrp::MigrationPlan
   if (config.events != nullptr) {
     obs::SolveEvent event;
     event.source = "bsp_driver";
-    event.request_id = config.trace.request_id();
+    event.request_id = rec != nullptr ? rec->request_id() : 0;
     event.outcome = "ok";
     event.feasible = true;
     event.r_imb_before = problem.imbalance_ratio();

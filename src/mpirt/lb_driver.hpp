@@ -6,7 +6,7 @@
 #include "lrp/plan.hpp"
 #include "lrp/problem.hpp"
 #include "obs/event_log.hpp"
-#include "obs/trace_context.hpp"
+#include "obs/recorder.hpp"
 
 namespace qulrb::mpirt {
 
@@ -16,11 +16,11 @@ struct LiveExecConfig {
   /// 0 disables spinning (tasks are accounted but cost no wall time) — the
   /// right setting for CI; > 0 turns the driver into a genuine stress run.
   double work_scale = 0.0;
-  /// When active, each rank records real-time migrate/iteration spans onto
-  /// its own track in the request's recorder (tracks claimed from the
-  /// context's shared allocator; the Recorder is mutex-guarded, so the rank
-  /// threads append concurrently without extra plumbing).
-  obs::TraceContext trace;
+  /// When set, each rank records real-time migrate/iteration spans onto its
+  /// own track in the request's recorder (tracks claimed from the recorder;
+  /// it is mutex-guarded, so the rank threads append concurrently without
+  /// extra plumbing).
+  obs::Recorder* recorder = nullptr;
   /// When set, one "bsp_driver" SolveEvent line is appended per run with the
   /// measured imbalance, migration count and wall time.
   obs::EventLog* events = nullptr;

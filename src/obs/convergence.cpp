@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <vector>
@@ -43,9 +42,9 @@ std::vector<Point> collect_points(const Recorder& recorder,
            std::pair<std::vector<TraceSample>, std::vector<TraceSample>>>
       by_track;
   for (const auto& s : recorder.samples()) {
-    if (std::strcmp(s.series, "incumbent_energy") == 0) {
+    if (s.series == "incumbent_energy") {
       by_track[s.track].first.push_back(s);
-    } else if (std::strcmp(s.series, "incumbent_violation") == 0) {
+    } else if (s.series == "incumbent_violation") {
       by_track[s.track].second.push_back(s);
     }
   }

@@ -14,14 +14,12 @@ std::string to_perfetto_json(const Recorder& recorder) {
 
   auto spans = recorder.spans();
   auto samples = recorder.samples();
-  auto owned = recorder.owned_samples();
   const auto track_names = recorder.track_names();
 
   // Label every track that carries data, preferring explicit names.
   std::set<std::uint32_t> tracks;
   for (const auto& s : spans) tracks.insert(s.track);
   for (const auto& s : samples) tracks.insert(s.track);
-  for (const auto& s : owned) tracks.insert(s.track);
   for (const std::uint32_t track : tracks) {
     std::string label = track == 0 ? "main" : "track " + std::to_string(track);
     for (const auto& [t, name] : track_names) {
@@ -40,10 +38,6 @@ std::string to_perfetto_json(const Recorder& recorder) {
                    [](const TraceSample& a, const TraceSample& b) {
                      return a.t_us < b.t_us;
                    });
-  std::stable_sort(owned.begin(), owned.end(),
-                   [](const OwnedSample& a, const OwnedSample& b) {
-                     return a.t_us < b.t_us;
-                   });
 
   for (const auto& s : spans) {
     writer.complete(s.name, s.category, kPid,
@@ -54,19 +48,13 @@ std::string to_perfetto_json(const Recorder& recorder) {
     if (s.track != 0) series += "/t" + std::to_string(s.track);
     writer.counter(series, kPid, s.t_us, s.value);
   }
-  for (const auto& s : owned) {
-    std::string series = s.series;
-    if (s.track != 0) series += "/t" + std::to_string(s.track);
-    writer.counter(series, kPid, s.t_us, s.value);
-  }
 
   for (const auto& [key, value] : recorder.annotations()) {
     writer.metadata(key, value);
   }
   writer.metadata("recorder", recorder.name());
   writer.metadata("spans", static_cast<std::int64_t>(spans.size()));
-  writer.metadata("samples",
-                  static_cast<std::int64_t>(samples.size() + owned.size()));
+  writer.metadata("samples", static_cast<std::int64_t>(samples.size()));
   return writer.finish();
 }
 

@@ -15,7 +15,7 @@
 namespace qulrb::obs {
 
 /// One closed span on a trace track (durations/timestamps in microseconds
-/// since the recorder's epoch).
+/// on the process-wide obs::clock timebase).
 struct TraceSpan {
   std::string name;
   const char* category = "solve";  ///< must point at a static string
@@ -24,28 +24,29 @@ struct TraceSpan {
   double dur_us = 0.0;
 };
 
-/// One point on a counter timeline (e.g. incumbent energy over time).
+/// One point on a counter timeline (e.g. incumbent energy over time). The
+/// series name is owned so post-hoc analyses (convergence envelopes,
+/// per-constraint violation attribution) can build it at runtime; the
+/// samplers record a few dozen points per anneal, so the copy is off the hot
+/// path.
 struct TraceSample {
-  const char* series = "";  ///< must point at a static string
-  std::uint32_t track = 0;
-  double t_us = 0.0;
-  double value = 0.0;
-};
-
-/// A counter point whose series name is owned (dynamic) and whose timestamp
-/// may be backdated — the cold-path variant used by post-hoc analyses
-/// (convergence envelopes, per-constraint violation attribution) where the
-/// series name is built at runtime. Never used from sweep loops.
-struct OwnedSample {
   std::string series;
   std::uint32_t track = 0;
   double t_us = 0.0;
   double value = 0.0;
 };
 
-/// Per-solve trace collector: spans (phases) on numbered tracks plus sampled
-/// counter timelines, all timestamped against one steady-clock epoch so
-/// concurrent restart tracks line up in the viewer.
+/// Per-request trace collector: spans (phases) on numbered tracks plus
+/// sampled counter timelines, all timestamped against one steady-clock epoch
+/// so concurrent restart tracks line up in the viewer.
+///
+/// One Recorder is the whole trace handle of a request: the service (or the
+/// CLI) constructs it with the request id, and every layer the request
+/// touches — service queue, session cache, the hybrid solver's restart
+/// pool, the simulated or live MPI ranks — takes the same `Recorder*`, so
+/// one Perfetto document shows the request end to end. Layers that need
+/// rows of their own claim them with claim_tracks(), which keeps solver
+/// restart rows and BSP rank rows from colliding in one document.
 ///
 /// Null-object discipline — identical to util::CancelToken: solver params
 /// carry a `Recorder*` that is nullptr when tracing is off, and every call
@@ -57,7 +58,12 @@ struct OwnedSample {
 /// sweep batch, never per flip, so the lock is off the hot path.
 class Recorder {
  public:
-  explicit Recorder(std::string name = "solve") : name_(std::move(name)) {}
+  /// A non-zero `request_id` is annotated into the trace metadata so it
+  /// survives into the exported document.
+  explicit Recorder(std::string name = "solve", std::uint64_t request_id = 0)
+      : name_(std::move(name)), request_id_(request_id) {
+    if (request_id_ != 0) annotate("request_id", std::to_string(request_id_));
+  }
 
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
@@ -79,6 +85,15 @@ class Recorder {
   double epoch_us() const noexcept { return epoch_us_; }
 
   const std::string& name() const noexcept { return name_; }
+  std::uint64_t request_id() const noexcept { return request_id_; }
+
+  /// Reserve `n` consecutive track ids for one layer's rows and return the
+  /// first. Thread-safe; the first claim on a fresh recorder returns 1, and
+  /// track 0 is never handed out — it stays the request's main row (queue,
+  /// session and presolve spans).
+  std::uint32_t claim_tracks(std::uint32_t n) noexcept {
+    return next_track_.fetch_add(n, std::memory_order_relaxed);
+  }
 
   void span(std::string name, const char* category, std::uint32_t track,
             double start_us, double end_us) {
@@ -87,27 +102,19 @@ class Recorder {
                                end_us > start_us ? end_us - start_us : 0.0});
   }
 
-  void sample(const char* series, std::uint32_t track, double value) {
-    const double t = now_us();
-    std::lock_guard<std::mutex> lock(mutex_);
-    samples_.push_back(TraceSample{series, track, t, value});
+  void sample(std::string series, std::uint32_t track, double value) {
+    sample_at(std::move(series), track, now_us(), value);
   }
 
-  /// Cold-path counter point with an owned series name and an explicit
-  /// (possibly backdated) timestamp — used by post-hoc analyses that replay
-  /// derived timelines (convergence envelopes, per-constraint violations)
-  /// into the trace. `t_us` is on this recorder's epoch, i.e. a value
-  /// obtained from now_us() or from another sample's timestamp.
+  /// Counter point with an explicit (possibly backdated) timestamp — used by
+  /// post-hoc analyses that replay derived timelines (convergence envelopes,
+  /// per-constraint violations) into the trace. `t_us` is on this
+  /// recorder's timebase, i.e. a value obtained from now_us() or from
+  /// another sample's timestamp.
   void sample_at(std::string series, std::uint32_t track, double t_us,
                  double value) {
     std::lock_guard<std::mutex> lock(mutex_);
-    owned_samples_.push_back(
-        OwnedSample{std::move(series), track, t_us, value});
-  }
-
-  /// sample_at() stamped with the current time.
-  void sample_named(std::string series, std::uint32_t track, double value) {
-    sample_at(std::move(series), track, now_us(), value);
+    samples_.push_back(TraceSample{std::move(series), track, t_us, value});
   }
 
   /// Human-readable label for a track row in the viewer (track 0 is labelled
@@ -142,10 +149,6 @@ class Recorder {
   std::vector<TraceSample> samples() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return samples_;
-  }
-  std::vector<OwnedSample> owned_samples() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return owned_samples_;
   }
   std::vector<std::pair<std::uint32_t, std::string>> track_names() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -205,12 +208,13 @@ class Recorder {
 
  private:
   std::string name_;
+  std::uint64_t request_id_ = 0;
+  std::atomic<std::uint32_t> next_track_{1};  ///< 0 is the main row
   /// Timebase reading at construction; see epoch_us().
   double epoch_us_ = clock::raw_us();
   mutable std::mutex mutex_;
   std::vector<TraceSpan> spans_;
   std::vector<TraceSample> samples_;
-  std::vector<OwnedSample> owned_samples_;
   std::vector<std::pair<std::uint32_t, std::string>> track_names_;
   std::vector<std::pair<std::string, std::string>> annotations_;
 };

@@ -152,10 +152,9 @@ BspResult BspSimulator::run(const lrp::LrpProblem& problem,
   // recorder: simulated milliseconds map onto the recorder's epoch starting
   // now, so the rank rows appear right after the solver spans that produced
   // the plan being simulated.
-  if (config_.trace.active()) {
-    obs::Recorder& rec = *config_.trace.recorder();
-    const std::uint32_t base =
-        config_.trace.claim_tracks(static_cast<std::uint32_t>(m));
+  if (config_.recorder != nullptr) {
+    obs::Recorder& rec = *config_.recorder;
+    const std::uint32_t base = rec.claim_tracks(static_cast<std::uint32_t>(m));
     const double t0 = rec.now_us();
     const auto at = [&](double sim_ms) { return t0 + sim_ms * 1000.0; };
     for (std::size_t i = 0; i < m; ++i) {

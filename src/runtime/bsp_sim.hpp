@@ -5,7 +5,7 @@
 
 #include "lrp/plan.hpp"
 #include "lrp/problem.hpp"
-#include "obs/trace_context.hpp"
+#include "obs/recorder.hpp"
 #include "runtime/comm_model.hpp"
 
 namespace qulrb::runtime {
@@ -15,13 +15,12 @@ struct BspConfig {
   std::size_t iterations = 10;     ///< BSP outer time steps
   bool overlap_migration = true;   ///< dedicated comm thread (Chameleon style)
   CommModel comm;
-  /// When active, the simulated first iteration is replayed into the
-  /// request's recorder as per-rank tracks (migrate-send / compute /
-  /// barrier-wait spans), claimed from the context's shared allocator so
-  /// rank rows sit next to the solver-restart rows of the same request.
-  /// Simulated milliseconds map onto the recorder's epoch starting at the
-  /// moment run() was called.
-  obs::TraceContext trace;
+  /// When set, the simulated first iteration is replayed into the request's
+  /// recorder as per-rank tracks (migrate-send / compute / barrier-wait
+  /// spans), claimed from the recorder so rank rows sit next to the
+  /// solver-restart rows of the same request. Simulated milliseconds map
+  /// onto the recorder's timebase starting at the moment run() was called.
+  obs::Recorder* recorder = nullptr;
 };
 
 /// Per-process execution accounting for one simulated run.

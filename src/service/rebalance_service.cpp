@@ -29,7 +29,6 @@ const char* to_string(RequestOutcome outcome) {
 RebalanceService::RebalanceService(ServiceParams params)
     : params_(params),
       cache_(params.cache_capacity),
-      stats_(params.latency_hist_max_ms, params.latency_hist_bins),
       pool_(params.num_workers) {
   // Structured labels: the registry serializes and escapes the values, so
   // the exposition stays conformant even if a label ever carries quotes.
@@ -155,23 +154,24 @@ std::uint64_t RebalanceService::submit(RebalanceRequest request, Callback callba
         item.token = item.token.with_deadline_ms(deadline_ms);
       }
       if (params_.record_traces) {
-        // Epoch = admission, so the trace's t=0 is when the request entered
-        // the service and the queue wait is visible as a span from 0. The
-        // context carries the request id into every layer the solve touches.
-        // A router-forwarded request supplies its own id ("rid"), so the
-        // exported document correlates with the router's books rather than
-        // this backend's local sequence.
+        // The recorder's epoch is admission, so the queue wait is the span
+        // from epoch_us() to dequeue. The recorder carries the request id
+        // into every layer the solve touches. A router-forwarded request
+        // supplies its own id ("rid"), so the exported document correlates
+        // with the router's books rather than this backend's local sequence.
         const std::uint64_t rid =
             item.request.trace_id != 0 ? item.request.trace_id : id;
-        item.trace = obs::TraceContext::mint(rid, "req-" + std::to_string(rid));
-        item.trace.recorder()->annotate(
-            "priority", std::to_string(item.request.priority));
+        item.recorder = std::make_unique<obs::Recorder>(
+            "req-" + std::to_string(rid), rid);
+        item.recorder->annotate("priority",
+                                std::to_string(item.request.priority));
         if (item.request.router_ms > 0.0) {
-          // The routed hop happened before this recorder's epoch; render it
-          // as a span at t=0 so the document still reads router -> queue ->
-          // solve left to right.
-          item.trace.recorder()->span("router-admission", "router", 0, 0.0,
-                                      item.request.router_ms * 1000.0);
+          // The routed hop happened just before admission: it ends at the
+          // epoch, so the document reads router -> queue -> solve left to
+          // right.
+          const double epoch = item.recorder->epoch_us();
+          item.recorder->span("router-admission", "router", 0,
+                              epoch - item.request.router_ms * 1000.0, epoch);
         }
       }
       const PendingKey key{item.request.priority,
@@ -270,8 +270,8 @@ void RebalanceService::run_one() {
   RebalanceResponse response;
   response.id = item.id;
   response.queue_ms = item.queued.elapsed_ms();
-  if (obs::Recorder* rec = item.trace.recorder()) {
-    rec->span("queue-wait", "service", 0, 0.0, rec->now_us());
+  if (obs::Recorder* rec = item.recorder.get()) {
+    rec->span("queue-wait", "service", 0, rec->epoch_us(), rec->now_us());
   }
 
   if (item.token.cancel_requested()) {
@@ -300,7 +300,7 @@ RebalanceResponse RebalanceService::solve_item(Pending& item) {
                                     ? item.request.trace_id
                                     : item.id);
   obs::prof::PhaseScope solve_phase("solve");
-  obs::Recorder* rec = item.trace.recorder();
+  obs::Recorder* rec = item.recorder.get();
   try {
     const lrp::LrpProblem problem(item.request.task_loads,
                                   item.request.task_counts);
@@ -310,8 +310,7 @@ RebalanceResponse RebalanceService::solve_item(Pending& item) {
     }
     obs::Recorder::Span checkout_span(rec, "session-checkout", "service", 0);
     auto checkout = cache_.checkout(problem, item.request.variant,
-                                    item.request.k, item.request.build,
-                                    item.trace);
+                                    item.request.k, item.request.build, rec);
     checkout_span.close();
     response.cache_hit = checkout.hit != CacheHit::kMiss;
     response.cache_retargeted = checkout.hit == CacheHit::kRetarget;
@@ -332,7 +331,6 @@ RebalanceResponse RebalanceService::solve_item(Pending& item) {
     hybrid.reuse_presolve = &checkout.session->presolve;
     hybrid.reuse_pairs = &checkout.session->pairs;
     hybrid.recorder = rec;
-    hybrid.trace = item.trace;
     hybrid.metrics = &registry_;
     hybrid.flight = params_.flight;
     hybrid.flight_rid =
@@ -367,7 +365,7 @@ RebalanceResponse RebalanceService::solve_item(Pending& item) {
       sim.iterations = std::max<std::size_t>(1, item.request.sim_iterations);
       sim.comp_threads =
           std::max<std::size_t>(1, item.request.sim_comp_threads);
-      sim.trace = item.trace;
+      sim.recorder = rec;
       const runtime::BspResult bsp = BspSimulator(sim).run(problem, out.plan);
       response.simulated = true;
       response.sim_first_iteration_ms = bsp.first_iteration_ms;
@@ -434,7 +432,7 @@ void RebalanceService::finish(Pending item, RebalanceResponse response) {
   // Convergence analysis + trace serialization outside the lock — both are
   // pure computation over the request's private recorder.
   std::string trace;
-  if (obs::Recorder* rec = item.trace.recorder()) {
+  if (obs::Recorder* rec = item.recorder.get()) {
     obs::ConvergenceConfig conv;
     conv.target_objective = item.target_objective;
     const obs::ConvergenceReport report =
@@ -454,11 +452,9 @@ void RebalanceService::finish(Pending item, RebalanceResponse response) {
                                        0.2 * response.solve_ms;
       h_.ewma_solve_ms->set(stats_.ewma_solve_ms);
       stats_.solve_ms.add(response.solve_ms);
-      stats_.solve_hist.add(response.solve_ms);
     }
     stats_.queue_ms.add(response.queue_ms);
     stats_.total_ms.add(response.total_ms);
-    stats_.total_hist.add(response.total_ms);
     if (!trace.empty()) {
       traces_.push_back(std::move(trace));
       while (traces_.size() > params_.trace_keep) traces_.pop_front();
@@ -545,7 +541,7 @@ void RebalanceService::drain() {
 }
 
 ServiceStats RebalanceService::stats() const {
-  ServiceStats snapshot(params_.latency_hist_max_ms, params_.latency_hist_bins);
+  ServiceStats snapshot;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     snapshot = stats_;

@@ -22,11 +22,9 @@
 #include "obs/profiler.hpp"
 #include "obs/recorder.hpp"
 #include "obs/slo.hpp"
-#include "obs/trace_context.hpp"
 #include "service/request.hpp"
 #include "service/session_cache.hpp"
 #include "util/cancel.hpp"
-#include "util/histogram.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -55,9 +53,6 @@ struct ServiceParams {
   /// hybrid.threads at 0. Kept at 1: the worker pool provides the
   /// concurrency, individual solves should not each fan out machine-wide.
   std::size_t solver_threads = 1;
-  /// Range of the latency histograms ([0, hi] ms).
-  double latency_hist_max_ms = 250.0;
-  std::size_t latency_hist_bins = 50;
   /// Record a Perfetto trace per request (queue wait, session checkout,
   /// solver phase spans, incumbent timelines), keeping the most recent
   /// `trace_keep` completed requests for the `trace` op. Off by default —
@@ -90,10 +85,6 @@ struct ServiceParams {
 
 /// Aggregated service telemetry; a consistent snapshot from stats().
 struct ServiceStats {
-  explicit ServiceStats(double hist_max_ms = 250.0, std::size_t hist_bins = 50)
-      : solve_hist(0.0, hist_max_ms, hist_bins),
-        total_hist(0.0, hist_max_ms, hist_bins) {}
-
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;            ///< kOk responses
   std::uint64_t rejected_queue_full = 0;
@@ -112,8 +103,6 @@ struct ServiceStats {
   util::RunningStats queue_ms;
   util::RunningStats solve_ms;
   util::RunningStats total_ms;
-  util::Histogram solve_hist;  ///< solve_ms distribution
-  util::Histogram total_hist;  ///< total_ms distribution
 
   double ewma_solve_ms = 0.0;  ///< the admission controller's wait predictor
   std::size_t pending = 0;
@@ -214,9 +203,9 @@ class RebalanceService {
     util::WallTimer queued;        ///< started at admission
     double deadline_ms = 0.0;      ///< effective (request or default), 0 = none
     util::CancelToken token;       ///< created at admission so cancel() works
-    /// Per-request trace identity (owns the recorder when tracing is on);
-    /// inactive otherwise.
-    obs::TraceContext trace;
+    /// Per-request trace handle, minted at admission with the request id when
+    /// tracing is on; null otherwise.
+    std::unique_ptr<obs::Recorder> recorder;
     /// Objective threshold implied by the request's target_r_imb (NaN when
     /// none) — feeds the convergence analysis at finish.
     double target_objective = std::numeric_limits<double>::quiet_NaN();

@@ -39,8 +39,7 @@ SessionCache::Checkout SessionCache::checkout(const lrp::LrpProblem& problem,
                                               lrp::CqmVariant variant,
                                               std::int64_t k,
                                               const lrp::CqmBuildOptions& options,
-                                              const obs::TraceContext& trace) {
-  obs::Recorder* const rec = trace.recorder();
+                                              obs::Recorder* rec) {
   Checkout out;
   out.key = Key{problem.task_counts(), variant, k,
                 options.use_paper_coefficient_set};

@@ -12,7 +12,7 @@
 #include "lrp/problem.hpp"
 #include "model/presolve.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace_context.hpp"
+#include "obs/recorder.hpp"
 
 namespace qulrb::service {
 
@@ -79,12 +79,12 @@ class SessionCache {
   explicit SessionCache(std::size_t capacity = 16) : capacity_(capacity) {}
 
   /// Session ready to solve `problem` (model targeted, presolve/pairs
-  /// consistent). Never returns null; builds cold on a miss. When `trace`
-  /// is active, the expensive paths (cold build, retarget refresh) are
-  /// recorded as spans on the request's main track.
+  /// consistent). Never returns null; builds cold on a miss. When
+  /// `recorder` is set, the expensive paths (cold build, retarget refresh)
+  /// are recorded as spans on the request's main track.
   Checkout checkout(const lrp::LrpProblem& problem, lrp::CqmVariant variant,
                     std::int64_t k, const lrp::CqmBuildOptions& options,
-                    const obs::TraceContext& trace = {});
+                    obs::Recorder* recorder = nullptr);
 
   /// Return a session after a solve (typically with a fresh warm_hint).
   /// If the slot was refilled meanwhile, the newer-returned session wins.

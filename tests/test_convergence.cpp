@@ -14,10 +14,10 @@
 #include "lrp/cqm_builder.hpp"
 #include "lrp/metrics.hpp"
 #include "lrp/problem.hpp"
+#include "lrp/registry.hpp"
 #include "obs/convergence.hpp"
 #include "obs/event_log.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace_context.hpp"
 
 namespace qulrb::obs {
 namespace {
@@ -99,7 +99,7 @@ TEST(Convergence, AnnotateWritesEnvelopeAndVerdicts) {
   ASSERT_TRUE(report.reached_target());
 
   bool saw_best_objective = false;
-  for (const auto& s : rec.owned_samples()) {
+  for (const auto& s : rec.samples()) {
     if (s.series == "best_objective") saw_best_objective = true;
   }
   EXPECT_TRUE(saw_best_objective);
@@ -113,36 +113,37 @@ TEST(Convergence, AnnotateWritesEnvelopeAndVerdicts) {
   EXPECT_TRUE(saw_stagnation);
 }
 
-// ----------------------------------------------------------- trace context --
+// ------------------------------------------------------ request handle ----
 
-TEST(TraceContext, InactiveIsZeroCost) {
-  TraceContext ctx;
-  EXPECT_FALSE(ctx.active());
-  EXPECT_EQ(ctx.recorder(), nullptr);
-  EXPECT_EQ(ctx.claim_tracks(4), 0u);
-  EXPECT_EQ(ctx.request_id(), 0u);
+TEST(Recorder, WithoutRequestIdAnnotatesNone) {
+  Recorder rec("solve");
+  EXPECT_EQ(rec.request_id(), 0u);
+  for (const auto& [key, value] : rec.annotations()) {
+    EXPECT_NE(key, "request_id");
+  }
+  EXPECT_EQ(rec.claim_tracks(4), 1u);  // a fresh recorder hands out 1 first
+  EXPECT_EQ(rec.claim_tracks(2), 5u);
 }
 
-TEST(TraceContext, MintAnnotatesRequestId) {
-  TraceContext ctx = TraceContext::mint(42, "req-42");
-  ASSERT_TRUE(ctx.active());
-  EXPECT_EQ(ctx.request_id(), 42u);
+TEST(Recorder, RequestIdIsAnnotated) {
+  Recorder rec("req-42", 42);
+  EXPECT_EQ(rec.request_id(), 42u);
   bool saw = false;
-  for (const auto& [key, value] : ctx.recorder()->annotations()) {
+  for (const auto& [key, value] : rec.annotations()) {
     if (key == "request_id" && value == "42") saw = true;
   }
   EXPECT_TRUE(saw);
 }
 
-TEST(TraceContext, ClaimedTrackBlocksNeverCollide) {
-  TraceContext ctx = TraceContext::mint(1, "req");
+TEST(Recorder, ClaimedTrackBlocksNeverCollide) {
+  Recorder rec("req", 1);
   constexpr std::size_t kThreads = 8;
   constexpr std::uint32_t kPerClaim = 3;
   std::vector<std::uint32_t> bases(kThreads);
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back(
-        [&ctx, &bases, t] { bases[t] = ctx.claim_tracks(kPerClaim); });
+        [&rec, &bases, t] { bases[t] = rec.claim_tracks(kPerClaim); });
   }
   for (auto& t : threads) t.join();
   std::set<std::uint32_t> tracks;
@@ -195,22 +196,22 @@ TEST(Convergence, TracedSolveIsBitwiseIdentical_QCQM1) {
       anneal::HybridCqmSolver(contract_params()).solve(model.cqm());
 
   anneal::HybridSolverParams traced_params = contract_params();
-  TraceContext trace = TraceContext::mint(7, "contract-qcqm1");
-  traced_params.trace = trace;
+  Recorder rec("contract-qcqm1", 7);
+  traced_params.recorder = &rec;
   const anneal::HybridSolveResult traced =
       anneal::HybridCqmSolver(traced_params).solve(model.cqm());
 
   expect_bitwise_equal(plain, traced);
   // And the traced run actually recorded incumbent timelines + restart spans.
-  EXPECT_FALSE(trace.recorder()->samples().empty());
-  EXPECT_FALSE(trace.recorder()->spans().empty());
+  EXPECT_FALSE(rec.samples().empty());
+  EXPECT_FALSE(rec.spans().empty());
 
   // The recorded timelines support the convergence metrics end to end.
   ConvergenceConfig config;
   config.target_objective =
       lrp::objective_target_for_imbalance(problem, 10.0);  // generous target
   const ConvergenceReport report =
-      ConvergenceDiagnostics(config).analyze(*trace.recorder());
+      ConvergenceDiagnostics(config).analyze(rec);
   EXPECT_GT(report.samples_seen, 0u);
   EXPECT_TRUE(report.reached_feasible());
   EXPECT_TRUE(report.reached_target());
@@ -226,13 +227,45 @@ TEST(Convergence, TracedSolveIsBitwiseIdentical_QCQM2) {
       anneal::HybridCqmSolver(contract_params()).solve(model.cqm());
 
   anneal::HybridSolverParams traced_params = contract_params();
-  TraceContext trace = TraceContext::mint(8, "contract-qcqm2");
-  traced_params.trace = trace;
+  Recorder rec("contract-qcqm2", 8);
+  traced_params.recorder = &rec;
   const anneal::HybridSolveResult traced =
       anneal::HybridCqmSolver(traced_params).solve(model.cqm());
 
   expect_bitwise_equal(plain, traced);
-  EXPECT_FALSE(trace.recorder()->samples().empty());
+  EXPECT_FALSE(rec.samples().empty());
+}
+
+// One attach point: a registry solve handed only `recorder` records the LRP
+// layer's spans and claims its restart rows from that recorder.
+TEST(Recorder, RegistrySolveRecordsEveryLayer) {
+  const lrp::LrpProblem problem = skewed_problem();
+  constexpr std::size_t kRestarts = 3;
+  Recorder rec("registry-qcqm1", 5);
+  const auto solver = lrp::make_solver({.name = "qcqm1",
+                                        .k = 8,
+                                        .sweeps = 200,
+                                        .restarts = kRestarts,
+                                        .recorder = &rec},
+                                       problem);
+  EXPECT_TRUE(solver->solve(problem).feasible);
+
+  const io::JsonValue doc = io::JsonValue::parse(to_perfetto_json(rec));
+  const io::JsonValue* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::size_t builds = 0, repairs = 0;
+  std::multiset<double> restart_tids;
+  for (const io::JsonValue& event : events->as_array()) {
+    if (event.string_or("ph", "") != "X") continue;
+    const std::string name = event.string_or("name", "");
+    if (name == "cqm-build") ++builds;
+    if (name == "decode-and-repair") ++repairs;
+    if (name == "restart") restart_tids.insert(event.number_or("tid", -1.0));
+  }
+  EXPECT_EQ(builds, 1u);
+  EXPECT_EQ(repairs, 1u);
+  const std::multiset<double> expected = {1.0, 2.0, 3.0};
+  EXPECT_EQ(restart_tids, expected);
 }
 
 TEST(Convergence, ObjectiveTargetMapsImbalanceConservatively) {

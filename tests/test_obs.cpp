@@ -341,7 +341,7 @@ TEST(Recorder, NowUsStrictlyMonotonicAcrossThreads) {
 TEST(Recorder, OwnedSamplesExportAsCounters) {
   Recorder rec("owned");
   rec.sample_at("violation/capacity", 0, 5.0, 3.5);
-  rec.sample_named("violation/balance", 2, 1.0);
+  rec.sample("violation/balance", 2, 1.0);
   const std::string json = to_perfetto_json(rec);
   const io::JsonValue doc = io::JsonValue::parse(json);
   const io::JsonValue* events = doc.find("traceEvents");

@@ -5,6 +5,8 @@
 #include <thread>
 #include <vector>
 
+#include "io/json_value.hpp"
+#include "obs/clock.hpp"
 #include "service/rebalance_service.hpp"
 #include "util/timer.hpp"
 
@@ -239,9 +241,44 @@ TEST(Service, StatsAggregateLatencies) {
   EXPECT_EQ(stats.solve_ms.count(), 6u);
   EXPECT_EQ(stats.total_ms.count(), 6u);
   EXPECT_GT(stats.ewma_solve_ms, 0.0);
-  EXPECT_GT(stats.total_hist.total(), 0u);
+  EXPECT_GT(svc.metrics_registry().histogram("qulrb_service_total_ms").count(),
+            0u);
   EXPECT_EQ(stats.pending, 0u);
   EXPECT_EQ(stats.running, 0u);
+}
+
+// Request spans sit on the process-wide obs timebase: the queue wait starts
+// at admission and the routed hop ends there, however long the process was
+// idle before the request arrived.
+TEST(Service, TracedRequestSpansAnchorAtAdmission) {
+  obs::clock::touch();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  RebalanceService svc({.num_workers = 1, .record_traces = true});
+  RebalanceRequest request = small_request();
+  request.router_ms = 0.5;
+  const RebalanceResponse r = svc.submit(std::move(request)).get();
+  ASSERT_EQ(r.outcome, RequestOutcome::kOk);
+  svc.drain();  // the trace is stored after the callback fires
+  const std::vector<std::string> traces = svc.last_traces(1);
+  ASSERT_EQ(traces.size(), 1u);
+
+  const io::JsonValue doc = io::JsonValue::parse(traces[0]);
+  const io::JsonValue* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  const io::JsonValue* queue = nullptr;
+  const io::JsonValue* router = nullptr;
+  for (const io::JsonValue& event : events->as_array()) {
+    if (event.string_or("ph", "") != "X") continue;
+    const std::string name = event.string_or("name", "");
+    if (name == "queue-wait") queue = &event;
+    if (name == "router-admission") router = &event;
+  }
+  ASSERT_NE(queue, nullptr);
+  ASSERT_NE(router, nullptr);
+  EXPECT_LE(queue->number_or("dur", 1e18), r.queue_ms * 1000.0 + 1000.0);
+  // Timestamps are printed with 12 significant digits, so allow rounding.
+  EXPECT_LE(router->number_or("ts", 1e18) + router->number_or("dur", 1e18),
+            queue->number_or("ts", 0.0) + 1e-3);
 }
 
 }  // namespace

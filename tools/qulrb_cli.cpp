@@ -34,7 +34,6 @@
 #include "obs/profile_export.hpp"
 #include "obs/profiler.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace_context.hpp"
 #include "io/report.hpp"
 #include "lrp/kselect.hpp"
 #include "lrp/metrics.hpp"
@@ -141,16 +140,13 @@ int cmd_solve(const Args& args) {
   // so either flag implies recording even without --trace-out.
   const bool want_recorder = args.has("trace-out") || args.has("events-out") ||
                              args.has("target-rimb");
-  std::shared_ptr<obs::Recorder> recorder;
-  obs::TraceContext trace;
+  std::optional<obs::Recorder> recorder;
   std::optional<obs::MetricsRegistry> metrics;
   if (want_recorder) {
-    recorder = std::make_shared<obs::Recorder>("qulrb solve " + spec.name);
-    recorder->annotate("input", args.get("input"));
     // Request id 1: one CLI invocation is one request.
-    trace = obs::TraceContext::adopt(1, recorder);
-    spec.recorder = recorder.get();
-    spec.trace = trace;
+    recorder.emplace("qulrb solve " + spec.name, 1);
+    recorder->annotate("input", args.get("input"));
+    spec.recorder = &*recorder;
   }
   if (args.has("metrics-out")) {
     metrics.emplace();
@@ -178,7 +174,7 @@ int cmd_solve(const Args& args) {
   print_report(problem, report);
 
   obs::ConvergenceReport convergence;
-  if (recorder != nullptr) {
+  if (recorder.has_value()) {
     obs::ConvergenceConfig conv;
     if (args.has("target-rimb")) {
       conv.target_objective = lrp::objective_target_for_imbalance(
