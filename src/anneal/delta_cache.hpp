@@ -15,7 +15,7 @@ namespace qulrb::anneal {
 /// Maintains delta[v] = E(x with v flipped) - E(x) for every variable, plus
 /// the running energy. Reading a candidate move is a single array load;
 /// committing a move refreshes the affected entries in O(deg(v)). This turns
-/// the accept/reject loop of SimulatedAnnealer and TabuSearch from
+/// the accept/reject loop of SimulatedAnnealer from
 /// "walk the adjacency row per attempt" into "walk it per accepted move" —
 /// a strict win whenever acceptance < 100%.
 class QuboDeltaCache {

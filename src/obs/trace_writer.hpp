@@ -13,8 +13,8 @@ namespace qulrb::obs {
 /// events, followed by a free-form `metadata` object. Timestamps and
 /// durations are microseconds, per the format.
 ///
-/// Shared by the BSP simulator export (runtime/trace_export) and the solver
-/// trace export (obs::to_perfetto_json), so both produce the same dialect.
+/// Used by the solver trace export (obs::to_perfetto_json); BSP runs traced
+/// through runtime::BspConfig::recorder land in that same document.
 class TraceWriter {
  public:
   TraceWriter();

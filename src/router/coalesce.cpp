@@ -1,6 +1,6 @@
 #include "router/coalesce.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -83,44 +83,88 @@ std::uint64_t Coalescer::coalesced_total() const {
   return coalesced_;
 }
 
-std::string rewrite_response_id(const std::string& line, std::uint64_t id) {
-  // Scan for the top-level `"id"` key: depth-1 position, outside strings.
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
+namespace {
+
+constexpr std::size_t kNpos = std::string_view::npos;
+constexpr std::string_view kSpace = " \t\n\r";
+
+/// First byte at or after i that is not JSON whitespace (size() when none).
+std::size_t skip_space(std::string_view s, std::size_t i) {
+  return std::min(s.find_first_not_of(kSpace, i), s.size());
+}
+
+/// One past the string literal that opens at s[i] == '"'; npos when it is
+/// unterminated.
+std::size_t skip_string(std::string_view s, std::size_t i) {
+  for (++i; i < s.size(); ++i) {
+    if (s[i] == '\\') {
+      ++i;  // the escaped character, quote included
+    } else if (s[i] == '"') {
+      return i + 1;
     }
-    switch (c) {
-      case '{': case '[': ++depth; continue;
-      case '}': case ']': --depth; continue;
-      case '"': break;  // a key or string value starts
-      default: continue;
-    }
-    // At a quote outside a string. Only keys at depth 1 can be the id field.
-    if (depth != 1 || line.compare(i, 5, "\"id\":") != 0) {
-      in_string = true;  // consume as an ordinary string
-      continue;
-    }
-    std::size_t start = i + 5;
-    std::size_t end = start;
-    while (end < line.size() &&
-           (std::isdigit(static_cast<unsigned char>(line[end])) ||
-            line[end] == '-')) {
-      ++end;
-    }
-    return line.substr(0, start) + std::to_string(id) + line.substr(end);
   }
-  return line;
+  return kNpos;
+}
+
+/// Span of the JSON value starting at s[start]: a balanced container, a
+/// string literal, or a bare scalar running up to the next ',', '}' or
+/// whitespace.
+ValueSpan value_span(std::string_view s, std::size_t start) {
+  if (start >= s.size()) return {};
+  std::size_t end = kNpos;
+  if (s[start] == '"') {
+    end = skip_string(s, start);
+  } else if (s[start] == '{' || s[start] == '[') {
+    int depth = 0;
+    for (std::size_t j = start; j < s.size() && end == kNpos;) {
+      const char c = s[j];
+      if (c == '"') {
+        j = skip_string(s, j);
+        if (j == kNpos) break;
+        continue;
+      }
+      if (c == '{' || c == '[') ++depth;
+      if ((c == '}' || c == ']') && --depth == 0) end = j + 1;
+      ++j;
+    }
+  } else {
+    end = std::min(s.find_first_of(",} \t\n\r", start), s.size());
+  }
+  if (end == kNpos) return {};
+  return ValueSpan{start, end - start};
+}
+
+}  // namespace
+
+ValueSpan find_top_level_value(std::string_view line, std::string_view key) {
+  int depth = 0;
+  for (std::size_t i = 0; i < line.size();) {
+    const char c = line[i];
+    if (c != '"') {
+      if (c == '{' || c == '[') ++depth;
+      if (c == '}' || c == ']') --depth;
+      ++i;
+      continue;
+    }
+    const std::size_t end = skip_string(line, i);
+    if (end == kNpos) return {};
+    if (depth == 1 && end - i == key.size() + 2 &&
+        line.compare(i + 1, key.size(), key) == 0) {
+      const std::size_t colon = skip_space(line, end);
+      if (colon < line.size() && line[colon] == ':') {
+        return value_span(line, skip_space(line, colon + 1));
+      }
+    }
+    i = end;
+  }
+  return {};
+}
+
+std::string rewrite_response_id(const std::string& line, std::uint64_t id) {
+  const ValueSpan span = find_top_level_value(line, "id");
+  if (span.pos == kNpos) return line;
+  return line.substr(0, span.pos) + std::to_string(id) +
+         line.substr(span.pos + span.len);
 }
 
 }  // namespace qulrb::router

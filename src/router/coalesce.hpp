@@ -4,6 +4,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -79,6 +80,17 @@ class Coalescer {
   std::unordered_map<std::uint64_t, Group> groups_;
   std::unordered_map<std::string, std::uint64_t> by_key_;
 };
+
+/// Byte span [pos, pos + len) of the value of the top-level key `key` in a
+/// one-line JSON object: only depth-1 keys match and quoted text is skipped,
+/// so a key-like run inside a string or a nested object never matches. `pos`
+/// is npos when the key is absent or its value is cut off. The one scanner
+/// behind rewrite_response_id and extract_raw_field.
+struct ValueSpan {
+  std::size_t pos = std::string_view::npos;
+  std::size_t len = 0;
+};
+ValueSpan find_top_level_value(std::string_view line, std::string_view key);
 
 /// Replace the value of the top-level "id" field of a JSON response line
 /// with `id`, returning the rewritten line. String-aware and depth-aware (an

@@ -22,71 +22,8 @@ std::string cancel_line(std::uint64_t group) {
 }  // namespace
 
 std::string extract_raw_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    switch (c) {
-      case '{': case '[': ++depth; continue;
-      case '}': case ']': --depth; continue;
-      case '"': break;
-      default: continue;
-    }
-    if (depth != 1 || line.compare(i, needle.size(), needle) != 0) {
-      in_string = true;  // some other key or string value; skip it
-      continue;
-    }
-    const std::size_t start = i + needle.size();
-    if (start >= line.size()) return "";
-    const char v = line[start];
-    if (v == '{' || v == '[') {
-      int d = 0;
-      bool ins = false;
-      bool esc = false;
-      for (std::size_t j = start; j < line.size(); ++j) {
-        const char cc = line[j];
-        if (ins) {
-          if (esc) esc = false;
-          else if (cc == '\\') esc = true;
-          else if (cc == '"') ins = false;
-          continue;
-        }
-        if (cc == '"') { ins = true; continue; }
-        if (cc == '{' || cc == '[') {
-          ++d;
-        } else if (cc == '}' || cc == ']') {
-          if (--d == 0) return line.substr(start, j - start + 1);
-        }
-      }
-      return "";  // unbalanced
-    }
-    if (v == '"') {
-      bool esc = false;
-      for (std::size_t j = start + 1; j < line.size(); ++j) {
-        const char cc = line[j];
-        if (esc) esc = false;
-        else if (cc == '\\') esc = true;
-        else if (cc == '"') return line.substr(start, j - start + 1);
-      }
-      return "";
-    }
-    std::size_t j = start;  // bare scalar: number / true / false / null
-    while (j < line.size() && line[j] != ',' && line[j] != '}') ++j;
-    return line.substr(start, j - start);
-  }
-  return "";
+  const ValueSpan span = find_top_level_value(line, key);
+  return span.pos == std::string_view::npos ? "" : line.substr(span.pos, span.len);
 }
 
 std::uint64_t Router::topology_hash(const service::RebalanceRequest& request) {
@@ -571,74 +508,107 @@ void Router::handle_cancel(const std::shared_ptr<Session>& session,
                                             client_id));
 }
 
+std::vector<std::vector<std::string>> Router::fan_out_control(
+    const std::vector<ControlOp>& ops) {
+  // Replies may land after the wait gave up; the callbacks' shared_ptr keeps
+  // the gather alive for them.
+  struct Gather {
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::size_t outstanding = 0;
+    std::vector<std::vector<std::string>> replies;  ///< [op][backend]
+  };
+  constexpr std::chrono::milliseconds kControlTimeout{2000};
+  auto gather = std::make_shared<Gather>();
+  gather->replies.assign(ops.size(), std::vector<std::string>(pool_.size()));
+  gather->outstanding = ops.size() * pool_.size();
+  for (std::size_t b = 0; b < pool_.size(); ++b) {
+    for (std::size_t o = 0; o < ops.size(); ++o) {
+      // A failed send may have been answered with nullptr by the mark-down
+      // drain already; the guard counts each (op, backend) slot once.
+      auto fired = std::make_shared<std::atomic<bool>>(false);
+      BackendPool::ControlCallback finish =
+          [gather, fired, o, b, field = ops[o].field](
+              const std::string* line, const io::JsonValue*) {
+            if (fired->exchange(true)) return;
+            std::lock_guard<std::mutex> lock(gather->mutex);
+            if (line != nullptr) {
+              gather->replies[o][b] = extract_raw_field(*line, field);
+            }
+            --gather->outstanding;
+            gather->cv.notify_all();
+          };
+      if (!pool_.send_control(b, ops[o].line, finish)) finish(nullptr, nullptr);
+    }
+  }
+  std::unique_lock<std::mutex> lock(gather->mutex);
+  gather->cv.wait_for(lock, kControlTimeout,
+                      [&] { return gather->outstanding == 0; });
+  return gather->replies;
+}
+
 namespace {
 
-/// Fan a control op to every backend and gather one raw field per backend.
-struct ControlGather {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::size_t outstanding = 0;
-  std::vector<std::string> raw;    ///< by backend index; empty = no answer
-  std::vector<std::string> extra;  ///< second per-backend field, when used
+/// A gathered reply as a JSON value: the verbatim splice, or null when the
+/// backend did not answer.
+const std::string& or_null(const std::string& raw) {
+  static const std::string kNull = "null";
+  return raw.empty() ? kNull : raw;
+}
+
+/// The folded-stack text inside a backend's raw profile document ("" when
+/// the backend did not answer or reported no profile).
+std::string folded_text(const std::string& raw_profile) {
+  if (raw_profile.empty()) return "";
+  const io::JsonValue profile = io::JsonValue::parse(raw_profile);
+  return profile.is_object() ? profile.string_or("folded", "") : "";
+}
+
+/// Fleet load aggregate over the probed view, shared by stats and health.
+struct FleetLoad {
+  std::size_t healthy = 0;
+  std::size_t queue_depth = 0;
+  std::size_t inflight = 0;
+  double cache_hit_rate = 0.0;  ///< mean over healthy backends
 };
+
+FleetLoad fleet_load(const std::vector<BackendView>& views) {
+  FleetLoad load;
+  double hit_sum = 0.0;
+  for (const BackendView& v : views) {
+    if (v.healthy) {
+      ++load.healthy;
+      hit_sum += v.cache_hit_rate;
+    }
+    load.queue_depth += v.queue_depth;
+    load.inflight += v.inflight;
+  }
+  if (load.healthy > 0) {
+    load.cache_hit_rate = hit_sum / static_cast<double>(load.healthy);
+  }
+  return load;
+}
 
 }  // namespace
 
 void Router::handle_stats(const std::shared_ptr<Session>& session) {
-  auto gather = std::make_shared<ControlGather>();
-  gather->raw.resize(pool_.size());
-  gather->outstanding = pool_.size();
-  for (std::size_t b = 0; b < pool_.size(); ++b) {
-    auto fired = std::make_shared<std::atomic<bool>>(false);
-    BackendPool::ControlCallback finish =
-        [gather, b, fired](const std::string* line, const io::JsonValue*) {
-          if (fired->exchange(true)) return;
-          std::lock_guard<std::mutex> lock(gather->mutex);
-          if (line != nullptr) gather->raw[b] = extract_raw_field(*line, "stats");
-          --gather->outstanding;
-          gather->cv.notify_all();
-        };
-    if (!pool_.send_control(b, "{\"op\":\"stats\"}", finish)) {
-      finish(nullptr, nullptr);
-    }
-  }
-  std::vector<std::string> raw;
-  {
-    std::unique_lock<std::mutex> lock(gather->mutex);
-    gather->cv.wait_for(
-        lock,
-        std::chrono::duration<double, std::milli>(params_.control_timeout_ms),
-        [&] { return gather->outstanding == 0; });
-    raw = gather->raw;
-  }
-
+  const std::vector<std::string> raw =
+      fan_out_control({{"{\"op\":\"stats\"}", "stats"}})[0];
   const std::vector<BackendView> views = pool_.views();
-  std::size_t healthy = 0;
-  std::size_t queue_depth = 0;
-  std::size_t inflight = 0;
+  const FleetLoad load = fleet_load(views);
   std::uint64_t routed = 0;
-  double hit_sum = 0.0;
-  std::size_t hit_n = 0;
-  for (std::size_t b = 0; b < views.size(); ++b) {
-    if (views[b].healthy) {
-      ++healthy;
-      hit_sum += views[b].cache_hit_rate;
-      ++hit_n;
-    }
-    queue_depth += views[b].queue_depth;
-    inflight += views[b].inflight;
+  for (std::size_t b = 0; b < pool_.size(); ++b) {
     routed += pool_.routed_total(b);
   }
 
   std::string out = "{\"stats\":{\"role\":\"router\",\"policy\":\"";
   out += to_string(params_.policy);
   out += "\",\"backends\":" + std::to_string(pool_.size());
-  out += ",\"healthy\":" + std::to_string(healthy);
-  out += ",\"queue_depth\":" + std::to_string(queue_depth);
-  out += ",\"inflight\":" + std::to_string(inflight);
+  out += ",\"healthy\":" + std::to_string(load.healthy);
+  out += ",\"queue_depth\":" + std::to_string(load.queue_depth);
+  out += ",\"inflight\":" + std::to_string(load.inflight);
   out += ",\"routed_total\":" + std::to_string(routed);
-  out += ",\"cache_hit_rate\":" +
-         std::to_string(hit_n > 0 ? hit_sum / static_cast<double>(hit_n) : 0.0);
+  out += ",\"cache_hit_rate\":" + std::to_string(load.cache_hit_rate);
   out += ",\"coalesced_total\":" + std::to_string(coalescer_.coalesced_total());
   out += ",\"inflight_groups\":" + std::to_string(coalescer_.inflight_groups());
   out += ",\"backend_stats\":[";
@@ -647,9 +617,7 @@ void Router::handle_stats(const std::shared_ptr<Session>& session) {
     out += "{\"backend\":\"" + pool_.address(b).label() + "\"";
     out += ",\"healthy\":";
     out += views[b].healthy ? "true" : "false";
-    out += ",\"stats\":";
-    out += raw[b].empty() ? "null" : raw[b];
-    out += "}";
+    out += ",\"stats\":" + or_null(raw[b]) + "}";
   }
   out += "]}}";
   deliver_to(session, out);
@@ -657,60 +625,21 @@ void Router::handle_stats(const std::shared_ptr<Session>& session) {
 
 void Router::handle_health(const std::shared_ptr<Session>& session) {
   const std::vector<BackendView> views = pool_.views();
-  std::size_t healthy = 0;
-  std::size_t queue_depth = 0;
-  std::size_t inflight = 0;
-  double hit_sum = 0.0;
-  std::size_t hit_n = 0;
-  for (const BackendView& v : views) {
-    if (v.healthy) {
-      ++healthy;
-      hit_sum += v.cache_hit_rate;
-      ++hit_n;
-    }
-    queue_depth += v.queue_depth;
-    inflight += v.inflight;
-  }
+  const FleetLoad load = fleet_load(views);
   std::string out = "{\"stats\":{\"role\":\"router\"";
   out += ",\"backends\":" + std::to_string(views.size());
-  out += ",\"healthy\":" + std::to_string(healthy);
-  out += ",\"queue_depth\":" + std::to_string(queue_depth);
-  out += ",\"inflight\":" + std::to_string(inflight);
-  out += ",\"cache_hit_rate\":" +
-         std::to_string(hit_n > 0 ? hit_sum / static_cast<double>(hit_n) : 0.0);
+  out += ",\"healthy\":" + std::to_string(load.healthy);
+  out += ",\"queue_depth\":" + std::to_string(load.queue_depth);
+  out += ",\"inflight\":" + std::to_string(load.inflight);
+  out += ",\"cache_hit_rate\":" + std::to_string(load.cache_hit_rate);
   out += "}}";
   deliver_to(session, out);
 }
 
 void Router::handle_trace(const std::shared_ptr<Session>& session,
                           std::size_t n) {
-  auto gather = std::make_shared<ControlGather>();
-  gather->raw.resize(pool_.size());
-  gather->outstanding = pool_.size();
-  const std::string op = "{\"op\":\"trace\",\"n\":" + std::to_string(n) + "}";
-  for (std::size_t b = 0; b < pool_.size(); ++b) {
-    auto fired = std::make_shared<std::atomic<bool>>(false);
-    BackendPool::ControlCallback finish =
-        [gather, b, fired](const std::string* line, const io::JsonValue*) {
-          if (fired->exchange(true)) return;
-          std::lock_guard<std::mutex> lock(gather->mutex);
-          if (line != nullptr) {
-            gather->raw[b] = extract_raw_field(*line, "traces");
-          }
-          --gather->outstanding;
-          gather->cv.notify_all();
-        };
-    if (!pool_.send_control(b, op, finish)) finish(nullptr, nullptr);
-  }
-  std::vector<std::string> raw;
-  {
-    std::unique_lock<std::mutex> lock(gather->mutex);
-    gather->cv.wait_for(
-        lock,
-        std::chrono::duration<double, std::milli>(params_.control_timeout_ms),
-        [&] { return gather->outstanding == 0; });
-    raw = gather->raw;
-  }
+  const std::vector<std::string> raw = fan_out_control(
+      {{"{\"op\":\"trace\",\"n\":" + std::to_string(n) + "}", "traces"}})[0];
   // Each element is a "[doc,doc,...]" array; splice the inner lists.
   std::string joined;
   for (const std::string& arr : raw) {
@@ -776,42 +705,8 @@ void Router::handle_profile(const std::shared_ptr<Session>& session,
   // Client sessions run on their own threads (never a backend reader), so
   // the blocking fan-out is safe here — same situation as flight_dump.
   const double window_s = parsed.profile_seconds;
-  auto gather = std::make_shared<ControlGather>();
-  gather->raw.resize(pool_.size());
-  gather->extra.resize(pool_.size());
-  gather->outstanding = pool_.size();
-  const std::string op = service::encode_profile_request(0, window_s);
-  for (std::size_t b = 0; b < pool_.size(); ++b) {
-    auto fired = std::make_shared<std::atomic<bool>>(false);
-    BackendPool::ControlCallback finish =
-        [gather, b, fired](const std::string* line, const io::JsonValue* doc) {
-          if (fired->exchange(true)) return;
-          std::lock_guard<std::mutex> lock(gather->mutex);
-          if (line != nullptr) {
-            gather->raw[b] = extract_raw_field(*line, "profile");
-            if (doc != nullptr) {
-              const io::JsonValue* profile = doc->find("profile");
-              if (profile != nullptr && profile->is_object()) {
-                gather->extra[b] = profile->string_or("folded", "");
-              }
-            }
-          }
-          --gather->outstanding;
-          gather->cv.notify_all();
-        };
-    if (!pool_.send_control(b, op, finish)) finish(nullptr, nullptr);
-  }
-  std::vector<std::string> raw;
-  std::vector<std::string> folded;
-  {
-    std::unique_lock<std::mutex> lock(gather->mutex);
-    gather->cv.wait_for(
-        lock,
-        std::chrono::duration<double, std::milli>(params_.control_timeout_ms),
-        [&] { return gather->outstanding == 0; });
-    raw = gather->raw;
-    folded = gather->extra;
-  }
+  const std::vector<std::string> raw = fan_out_control(
+      {{service::encode_profile_request(0, window_s), "profile"}})[0];
 
   std::string router_folded;
   const std::string router_profile = own_profile_json(window_s, &router_folded);
@@ -823,8 +718,8 @@ void Router::handle_profile(const std::shared_ptr<Session>& session,
   std::size_t reporting = 0;
   for (std::size_t b = 0; b < pool_.size(); ++b) {
     if (!raw[b].empty()) ++reporting;
-    merged +=
-        obs::folded_with_instance(folded[b], pool_.address(b).label());
+    merged += obs::folded_with_instance(folded_text(raw[b]),
+                                        pool_.address(b).label());
   }
 
   io::JsonWriter w;
@@ -838,11 +733,7 @@ void Router::handle_profile(const std::shared_ptr<Session>& session,
   for (std::size_t b = 0; b < pool_.size(); ++b) {
     w.begin_object();
     w.field("backend", pool_.address(b).label());
-    if (raw[b].empty()) {
-      w.key("profile").null();
-    } else {
-      w.key("profile").raw_value(raw[b]);
-    }
+    w.key("profile").raw_value(or_null(raw[b]));
     w.end_object();
   }
   w.end_array();
@@ -860,57 +751,9 @@ std::string Router::assemble_incident(const obs::SloTrigger& trigger) {
 std::string Router::assemble_bundle(const obs::SloTrigger& trigger,
                                     const std::string& kind,
                                     double window_s) {
-  // Two control ops per backend — flight ring and profile capture — matched
-  // FIFO on each backend connection (control responses come back in send
-  // order), gathered into raw (flight) and extra (profile).
-  auto gather = std::make_shared<ControlGather>();
-  gather->raw.resize(pool_.size());
-  gather->extra.resize(pool_.size());
-  gather->outstanding = 2 * pool_.size();
-  const std::string flight_op =
-      service::encode_flight_dump_request(0, window_s, trigger.rid);
-  const std::string profile_op = service::encode_profile_request(0, window_s);
-  for (std::size_t b = 0; b < pool_.size(); ++b) {
-    auto fired = std::make_shared<std::atomic<bool>>(false);
-    BackendPool::ControlCallback finish_flight =
-        [gather, b, fired](const std::string* line, const io::JsonValue*) {
-          if (fired->exchange(true)) return;
-          std::lock_guard<std::mutex> lock(gather->mutex);
-          if (line != nullptr) {
-            gather->raw[b] = extract_raw_field(*line, "flight");
-          }
-          --gather->outstanding;
-          gather->cv.notify_all();
-        };
-    if (!pool_.send_control(b, flight_op, finish_flight)) {
-      finish_flight(nullptr, nullptr);
-    }
-    auto fired_prof = std::make_shared<std::atomic<bool>>(false);
-    BackendPool::ControlCallback finish_profile =
-        [gather, b, fired_prof](const std::string* line, const io::JsonValue*) {
-          if (fired_prof->exchange(true)) return;
-          std::lock_guard<std::mutex> lock(gather->mutex);
-          if (line != nullptr) {
-            gather->extra[b] = extract_raw_field(*line, "profile");
-          }
-          --gather->outstanding;
-          gather->cv.notify_all();
-        };
-    if (!pool_.send_control(b, profile_op, finish_profile)) {
-      finish_profile(nullptr, nullptr);
-    }
-  }
-  std::vector<std::string> raw;
-  std::vector<std::string> profiles;
-  {
-    std::unique_lock<std::mutex> lock(gather->mutex);
-    gather->cv.wait_for(
-        lock,
-        std::chrono::duration<double, std::milli>(params_.control_timeout_ms),
-        [&] { return gather->outstanding == 0; });
-    raw = gather->raw;
-    profiles = gather->extra;
-  }
+  const std::vector<std::vector<std::string>> replies = fan_out_control(
+      {{service::encode_flight_dump_request(0, window_s, trigger.rid), "flight"},
+       {service::encode_profile_request(0, window_s), "profile"}});
   const std::string router_profile = own_profile_json(window_s, nullptr);
   io::JsonWriter w;
   w.begin_object();
@@ -936,16 +779,8 @@ std::string Router::assemble_bundle(const obs::SloTrigger& trigger,
   for (std::size_t b = 0; b < pool_.size(); ++b) {
     w.begin_object();
     w.field("backend", pool_.address(b).label());
-    if (raw[b].empty()) {
-      w.key("flight").null();
-    } else {
-      w.key("flight").raw_value(raw[b]);
-    }
-    if (profiles[b].empty()) {
-      w.key("profile").null();
-    } else {
-      w.key("profile").raw_value(profiles[b]);
-    }
+    w.key("flight").raw_value(or_null(replies[0][b]));
+    w.key("profile").raw_value(or_null(replies[1][b]));
     w.end_object();
   }
   w.end_array();

@@ -41,6 +41,12 @@ namespace qulrb::router {
 /// Failover: when a backend goes down, its in-flight solves are re-routed to
 /// the surviving backends (bounded by Params::max_retries per request);
 /// requests that exhaust the fleet are answered with an {"error":...} line.
+///
+/// Control ops that need every backend's answer (stats, trace, profile and
+/// the incident bundle) share one fan-out, fan_out_control: it sends, waits
+/// once, and hands back the replies, so each handler is only its merge and
+/// render step. Health is answered from the probed view and federation is
+/// fire-and-forget; neither waits.
 class Router {
  public:
   struct Params {
@@ -55,7 +61,6 @@ class Router {
     /// router-local inflight term.
     double stale_ms = 0.0;
     std::size_t max_retries = 2;   ///< failover resubmits per request
-    double control_timeout_ms = 2000.0;  ///< stats/trace aggregation wait
     /// Federation pull cadence: every `federate_ms` the router sends
     /// {"op":"obs"} to each healthy backend and folds the answers into the
     /// fleet snapshot (metrics_text() appends the qulrb_fleet_* families).
@@ -125,7 +130,7 @@ class Router {
 
   /// Assemble one cross-process incident bundle right now: the router's own
   /// flight ring plus a {"op":"flight_dump"} fan-out to every backend, all
-  /// correlated by `rid`. Blocks up to control_timeout_ms; must not be
+  /// correlated by `rid`. Blocks up to the 2 s control timeout; must not be
   /// called from a backend reader thread (the response would be delivered by
   /// the blocked thread itself).
   std::string assemble_incident(const obs::SloTrigger& trigger);
@@ -163,8 +168,22 @@ class Router {
     std::size_t retries = 0;
   };
 
+  /// One control line to send to every backend, and the top-level field of
+  /// its reply to keep.
+  struct ControlOp {
+    std::string line;
+    std::string field;
+  };
+
   double now_ms() const;
   std::vector<BackendView> policy_views();
+  /// Send every op to every backend, in order on each connection so
+  /// BackendPool's FIFO reply matching holds, then wait once, up to 2 s, for
+  /// all replies. Returns replies[op][backend], the raw JSON of the op's
+  /// field; empty when that backend was down or did not answer in time.
+  /// Blocks, so never call it from a backend reader thread.
+  std::vector<std::vector<std::string>> fan_out_control(
+      const std::vector<ControlOp>& ops);
   void handle_solve(const std::shared_ptr<Session>& session,
                     service::ProtocolRequest parsed);
   void handle_cancel(const std::shared_ptr<Session>& session,

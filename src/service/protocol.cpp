@@ -78,10 +78,15 @@ ProtocolRequest parse_request_line(const std::string& line) {
   out.request.deadline_ms = doc.number_or("deadline_ms", 0.0);
 
   auto& hybrid = out.request.hybrid;
-  hybrid.sweeps = static_cast<std::size_t>(
-      doc.int_or("sweeps", static_cast<std::int64_t>(hybrid.sweeps)));
-  hybrid.num_restarts = static_cast<std::size_t>(doc.int_or(
-      "restarts", static_cast<std::int64_t>(hybrid.num_restarts)));
+  const std::int64_t sweeps =
+      doc.int_or("sweeps", static_cast<std::int64_t>(hybrid.sweeps));
+  util::require(sweeps >= 1, "'sweeps' must be positive");
+  hybrid.sweeps = static_cast<std::size_t>(sweeps);
+  const std::int64_t restarts =
+      doc.int_or("restarts", static_cast<std::int64_t>(hybrid.num_restarts));
+  util::require(restarts >= 1 && restarts <= kMaxRestarts,
+                "'restarts' must be in [1, " + std::to_string(kMaxRestarts) + "]");
+  hybrid.num_restarts = static_cast<std::size_t>(restarts);
   hybrid.seed = static_cast<std::uint64_t>(
       doc.int_or("seed", static_cast<std::int64_t>(hybrid.seed)));
   hybrid.time_limit_ms = doc.number_or("time_limit_ms", hybrid.time_limit_ms);

@@ -72,8 +72,13 @@ struct ProtocolRequest {
   double profile_seconds = 0.0; ///< "seconds" of a profile op (0 = whole ring)
 };
 
+/// Largest "restarts" a solve request may ask for. Each restart is a full
+/// annealer chain, so an unbounded count lets one line exhaust server memory.
+inline constexpr std::int64_t kMaxRestarts = 1024;
+
 /// Parse one request line; throws util::InvalidArgument with a message fit
-/// for an {"error":...} reply on malformed input.
+/// for an {"error":...} reply on malformed input, including a solve whose
+/// "sweeps" is below 1 or whose "restarts" is outside [1, kMaxRestarts].
 ProtocolRequest parse_request_line(const std::string& line);
 
 /// Canonical wire form of a solve request (no trailing newline): exactly the

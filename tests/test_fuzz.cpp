@@ -1,5 +1,6 @@
 // Deterministic mutation fuzzing of the two parsers that read untrusted
-// request lines: io::JsonValue::parse and service::parse_request_line. Seeds
+// request lines, io::JsonValue::parse and service::parse_request_line, and of
+// the router's top-level key scanner, router::find_top_level_value. Seeds
 // are request lines the tests and CI already send; each case applies a few
 // random byte-level and token-level mutations under a fixed seed, so a
 // failure reproduces exactly. Every input must either parse or throw
@@ -11,9 +12,11 @@
 #include <cstddef>
 #include <exception>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/json_value.hpp"
+#include "router/coalesce.hpp"
 #include "service/protocol.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -139,6 +142,25 @@ TEST(Fuzz, JsonValueParse) {
 TEST(Fuzz, ParseRequestLine) {
   fuzz(0x5eed0002,
        [](const std::string& line) { (void)service::parse_request_line(line); });
+}
+
+// On any line the scanner's span stays inside the line; on a line that parses,
+// every span it returns is itself one complete JSON value.
+TEST(Fuzz, TopLevelValueSpan) {
+  fuzz(0x5eed0003, [](const std::string& line) {
+    std::vector<router::ValueSpan> spans;
+    for (const char* key : {"id", "op", "loads", "k", "rid"}) {
+      const router::ValueSpan span = router::find_top_level_value(line, key);
+      if (span.pos == std::string_view::npos) continue;
+      ASSERT_LE(span.pos + span.len, line.size()) << line.substr(0, 200);
+      spans.push_back(span);
+    }
+    (void)io::JsonValue::parse(line);  // malformed lines stop here
+    for (const router::ValueSpan& span : spans) {
+      EXPECT_NO_THROW((void)io::JsonValue::parse(line.substr(span.pos, span.len)))
+          << line.substr(0, 200);
+    }
+  });
 }
 
 }  // namespace

@@ -146,6 +146,26 @@ TEST(Protocol, RejectsMalformedRequests) {
                util::InvalidArgument);
 }
 
+// Unchecked, a negative count wraps through size_t (2^64 sweeps, or a vector
+// larger than max_size()), zero restarts fails deep inside the solver, and a
+// huge restart count grows the server without bound.
+TEST(Protocol, RejectsOutOfRangeRestartsAndSweeps) {
+  const auto solve = [](const std::string& knobs) {
+    return parse_request_line(R"({"loads":[3,1],"counts":[4,4],)" + knobs + "}");
+  };
+  const std::vector<std::string> rejected = {
+      R"("restarts":0)", R"("restarts":-1)", R"("restarts":100000000)",
+      R"("restarts":)" + std::to_string(kMaxRestarts + 1), R"("sweeps":0)",
+      R"("sweeps":-1)"};
+  for (const std::string& knobs : rejected) {
+    EXPECT_THROW(solve(knobs), util::InvalidArgument) << knobs;
+  }
+  EXPECT_EQ(solve(R"("restarts":1,"sweeps":1)").request.hybrid.num_restarts, 1u);
+  EXPECT_EQ(solve(R"("restarts":)" + std::to_string(kMaxRestarts))
+                .request.hybrid.num_restarts,
+            static_cast<std::size_t>(kMaxRestarts));
+}
+
 // ------------------------------------------------------------- encode -----
 
 TEST(Protocol, ResponseRoundTripsThroughJson) {

@@ -6,10 +6,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <map>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -415,11 +417,12 @@ TEST(Router, TopologyHashKeysOnCacheIdentityNotLoads) {
 // ------------------------------------------------------ routed sessions ----
 
 /// A minimal TCP listener standing in for a backend: accepts connections and
-/// drains whatever arrives without ever answering, so routed solves stay in
-/// flight for as long as a test needs them to.
-class SilentBackend {
+/// drains whatever arrives. Silent by default, so routed solves stay in
+/// flight for as long as a test needs them to; with a `reply`, it answers
+/// every received line with that one line.
+class StubBackend {
  public:
-  SilentBackend() {
+  explicit StubBackend(std::string reply = "") {
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -430,22 +433,28 @@ class SilentBackend {
     socklen_t len = sizeof(addr);
     ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
     port_ = ntohs(addr.sin_port);
-    accepter_ = std::thread([this] {
+    if (!reply.empty()) reply += "\n";
+    accepter_ = std::thread([this, reply] {
       while (true) {
         const int fd = ::accept(listen_fd_, nullptr, nullptr);
         if (fd < 0) return;
         std::lock_guard<std::mutex> lock(mutex_);
         fds_.push_back(fd);
-        readers_.emplace_back([fd] {
+        readers_.emplace_back([fd, reply] {
           char buf[4096];
-          while (::recv(fd, buf, sizeof(buf), 0) > 0) {
+          ssize_t got = 0;
+          while ((got = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+            if (reply.empty()) continue;
+            for (ssize_t i = 0; i < got; ++i) {
+              if (buf[i] == '\n') ::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+            }
           }
         });
       }
     });
   }
 
-  ~SilentBackend() {
+  ~StubBackend() {
     ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     if (accepter_.joinable()) accepter_.join();
@@ -467,7 +476,7 @@ class SilentBackend {
 };
 
 TEST(Router, DuplicateInFlightIdIsRejectedNotOverwritten) {
-  SilentBackend backend;
+  StubBackend backend;
   Router::Params params;
   params.pool.backends = {BackendAddress{"127.0.0.1", backend.port()}};
   params.policy = PolicyKind::kRoundRobin;
@@ -507,6 +516,51 @@ TEST(Router, DuplicateInFlightIdIsRejectedNotOverwritten) {
       session, R"({"op":"solve","id":2,"loads":[4,1],"counts":[2,2],"k":2})");
   EXPECT_EQ(router.coalescer().coalesced_total(), 1u);
 
+  router.unregister_session(session);
+  router.stop();
+}
+
+// One backend accepts but never answers, the other answers every line with
+// the same stats document. A fleet stats op must wait out the control timeout
+// (2 s) once, then splice what arrived and report the silent backend as null.
+TEST(Router, StatsTimesOutOnASilentBackendAndSplicesTheOthers) {
+  StubBackend silent;
+  StubBackend answering(R"({"stats":{"queue_depth":0,"tag":"alive"}})");
+  Router::Params params;
+  params.pool.backends = {BackendAddress{"127.0.0.1", silent.port()},
+                          BackendAddress{"127.0.0.1", answering.port()}};
+  params.federate_ms = 0.0;
+  params.profile_hz = 0;
+  Router router(params);
+  router.start();
+  std::vector<std::string> lines;
+  const std::uint64_t session = router.register_session(
+      [&](const std::string& line) { lines.push_back(line); });
+
+  const auto t0 = std::chrono::steady_clock::now();
+  router.handle_client_line(session, R"({"op":"stats"})");
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+  EXPECT_GE(waited_ms, 1900.0);
+  EXPECT_LT(waited_ms, 8000.0);
+
+  ASSERT_EQ(lines.size(), 1u);
+  const io::JsonValue doc = io::JsonValue::parse(lines[0]);
+  const io::JsonValue* stats = doc.find("stats");
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->int_or("healthy", -1), 2);
+  const io::JsonValue* backends = stats->find("backend_stats");
+  ASSERT_NE(backends, nullptr);
+  ASSERT_EQ(backends->as_array().size(), 2u);
+  const io::JsonValue& quiet = backends->as_array()[0];
+  const io::JsonValue& alive = backends->as_array()[1];
+  EXPECT_EQ(quiet.string_or("backend", ""),
+            "127.0.0.1:" + std::to_string(silent.port()));
+  ASSERT_NE(quiet.find("stats"), nullptr);
+  EXPECT_TRUE(quiet.find("stats")->is_null());
+  ASSERT_NE(alive.find("stats"), nullptr);
+  EXPECT_EQ(alive.find("stats")->string_or("tag", ""), "alive");
   router.unregister_session(session);
   router.stop();
 }
