@@ -8,6 +8,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <csignal>
@@ -28,6 +29,10 @@ namespace {
 /// Tick at which idle readers and the accept loop re-check the stop flags.
 constexpr int kPollMs = 200;
 
+/// Shaped like service::encode_error("too many connections", 0).
+constexpr std::string_view kTooManyConnections =
+    R"({"error":"too many connections","id":0})";
+
 /// Written by the signal handler; a volatile sig_atomic_t is all a handler
 /// may portably touch.
 volatile std::sig_atomic_t g_stop_signal = 0;
@@ -47,6 +52,11 @@ LineConn::LineConn(int fd) : fd_(fd), socket_(is_socket(fd)) {
     tv.tv_sec = static_cast<time_t>(kSendTimeout.count() / 1000);
     tv.tv_usec = static_cast<suseconds_t>(kSendTimeout.count() % 1000 * 1000);
     ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+    // A line server never wants Nagle: it would hold a short line back until
+    // the peer's delayed ACK (~40 ms) for the one before. Fails harmlessly
+    // on AF_UNIX sockets.
+    const int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   }
 }
 
@@ -84,22 +94,31 @@ void LineConn::break_locked() {
   broken_ = true;
 }
 
-LineReader::LineReader(int fd, std::size_t max_line, std::function<bool()> stop)
-    : fd_(fd), max_line_(max_line), stop_(std::move(stop)) {}
+LineReader::LineReader(int fd, std::size_t max_line, std::function<bool()> stop,
+                       std::chrono::milliseconds line_deadline)
+    : fd_(fd),
+      max_line_(max_line),
+      stop_(std::move(stop)),
+      line_deadline_(line_deadline) {}
 
 bool LineReader::next(std::string& line) {
   while (true) {
     const std::size_t nl = buffer_.find('\n', scan_);
     const std::size_t end = nl == std::string::npos ? buffer_.size() : nl;
     if (max_line_ > 0 && end - start_ > max_line_) {
-      overflowed_ = true;
+      rejected_ = "request line too long";
       return false;
     }
     if (nl == std::string::npos) {
       scan_ = buffer_.size();
+      if (line_deadline_.count() > 0 && end > start_ &&
+          line_due_ == std::chrono::steady_clock::time_point{}) {
+        line_due_ = std::chrono::steady_clock::now() + line_deadline_;
+      }
       if (!fill()) return false;
       continue;
     }
+    line_due_ = {};
     const std::size_t begin = start_;
     start_ = scan_ = nl + 1;
     std::size_t stripped = nl;
@@ -118,6 +137,11 @@ bool LineReader::fill() {
   while (true) {
     if (stop_) {
       if (stop_()) return false;
+      if (line_due_ != std::chrono::steady_clock::time_point{} &&
+          std::chrono::steady_clock::now() >= line_due_) {
+        rejected_ = "request line too slow";
+        return false;
+      }
       pollfd pfd{fd_, POLLIN, 0};
       const int ready = ::poll(&pfd, 1, kPollMs);
       if (ready == 0 || (ready < 0 && errno == EINTR)) continue;
@@ -139,8 +163,6 @@ int connect_tcp(const std::string& host, int port) {
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) return -1;
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
     return -1;
@@ -192,7 +214,7 @@ void serve_tcp(int listen_fd, const ConnectionHandler& on_connection) {
   const auto run = [&](int fd, Connection& self) {
     LineConn conn(fd);
     try {
-      LineReader reader(fd, kMaxRequestLine, stop);
+      LineReader reader(fd, kMaxRequestLine, stop, kLineDeadline);
       if (!on_connection(conn, reader)) stopping.store(true, std::memory_order_relaxed);
     } catch (const std::exception& e) {
       std::cerr << "connection dropped: " << e.what() << "\n";
@@ -219,6 +241,17 @@ void serve_tcp(int listen_fd, const ConnectionHandler& on_connection) {
       if (errno != EINTR && errno != ECONNABORTED) {
         std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
       }
+      continue;
+    }
+    const auto live = std::count_if(connections.begin(), connections.end(),
+                                    [](const Connection& c) {
+                                      return !c.done.load(std::memory_order_acquire);
+                                    });
+    if (static_cast<std::size_t>(live) >= kMaxConnections) {
+      LineConn refused(fd);
+      refused.send(kTooManyConnections);
+      refused.shutdown();
+      ::close(fd);
       continue;
     }
     Connection& c = connections.emplace_back();

@@ -3,38 +3,7 @@
 #include <cmath>
 #include <numbers>
 
-#ifdef __SIZEOF_INT128__
-__extension__ typedef unsigned __int128 uint128;
-#endif
-
 namespace qulrb::util {
-
-std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
-  if (bound <= 1) return 0;
-#ifdef __SIZEOF_INT128__
-  // Lemire's nearly-divisionless method.
-  std::uint64_t x = next_u64();
-  uint128 m = static_cast<uint128>(x) * static_cast<uint128>(bound);
-  auto l = static_cast<std::uint64_t>(m);
-  if (l < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (l < threshold) {
-      x = next_u64();
-      m = static_cast<uint128>(x) * static_cast<uint128>(bound);
-      l = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-#else
-  // Rejection sampling fallback.
-  const std::uint64_t limit = max() - max() % bound;
-  std::uint64_t x;
-  do {
-    x = next_u64();
-  } while (x >= limit);
-  return x % bound;
-#endif
-}
 
 std::int64_t Rng::next_in(std::int64_t lo, std::int64_t hi) noexcept {
   if (hi <= lo) return lo;

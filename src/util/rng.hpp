@@ -6,6 +6,12 @@
 
 namespace qulrb::util {
 
+#ifdef __SIZEOF_INT128__
+namespace detail {
+__extension__ typedef unsigned __int128 uint128;
+}  // namespace detail
+#endif
+
 /// splitmix64: used to seed the main generator and to derive independent
 /// stream seeds from a single user seed. Reference: Steele, Lea, Flood,
 /// "Fast splittable pseudorandom number generators" (OOPSLA'14).
@@ -63,7 +69,34 @@ class Rng {
   }
 
   /// Uniform integer in [0, bound) without modulo bias (Lemire's method).
-  std::uint64_t next_below(std::uint64_t bound) noexcept;
+  /// Inline: the annealers draw one per proposed move.
+  std::uint64_t next_below(std::uint64_t bound) noexcept {
+    if (bound <= 1) return 0;
+#ifdef __SIZEOF_INT128__
+    // Lemire's nearly-divisionless method.
+    std::uint64_t x = next_u64();
+    detail::uint128 m =
+        static_cast<detail::uint128>(x) * static_cast<detail::uint128>(bound);
+    auto l = static_cast<std::uint64_t>(m);
+    if (l < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (l < threshold) {
+        x = next_u64();
+        m = static_cast<detail::uint128>(x) * static_cast<detail::uint128>(bound);
+        l = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+#else
+    // Rejection sampling fallback.
+    const std::uint64_t limit = max() - max() % bound;
+    std::uint64_t x;
+    do {
+      x = next_u64();
+    } while (x >= limit);
+    return x % bound;
+#endif
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t next_in(std::int64_t lo, std::int64_t hi) noexcept;

@@ -7,9 +7,14 @@ Against qulrb_serve and against qulrb_router (with that serve behind it):
      and the /proc/PID/fd count must come back to near their baseline;
   2. oversize — one 64 MiB line with no newline; the client reads one error
      line and then EOF, RSS stays near baseline, and a second client still
-     gets its health answer.
+     gets its health answer;
+  3. cap — the connection cap's worth of connections held open; the next
+     one reads one "too many connections" line and then EOF, and once the
+     held ones close, threads and fds settle and health answers again;
+  4. slowloris — a request line sent one byte per second is cut off at the
+     line deadline with one error line, and threads and fds settle.
 Against a one-worker qulrb_serve:
-  3. busy worker — while one long solve holds the only worker, 200 health
+  5. busy worker — while one long solve holds the only worker, 200 health
      connections open and close; the fd count is back at baseline while the
      solve still runs (a closed connection waits for its own requests only).
 
@@ -30,6 +35,8 @@ CHURN = 1000
 WARMUP = 200
 BUSY_CLOSES = 200
 MIB = 1 << 20
+MAX_CONNECTIONS = 256  # net::kMaxConnections
+LINE_DEADLINE_S = 10  # net::kLineDeadline
 # Margins over baseline. A leaked connection thread costs one thread, an
 # 8 MiB stack mapping and ~16 KiB of touched stack; a leaked connection costs
 # one fd. The VmSize margin leaves room for glibc's 40 MiB cache of freed
@@ -104,6 +111,21 @@ def churn(name, pid, port):
     print("ok: %s churn x%d: %s -> %s" % (name, CHURN, base, now))
 
 
+def read_to_eof(s):
+    data = b""
+    while True:
+        got = s.recv(65536)  # a reset instead of EOF raises here
+        if not got:
+            return data
+        data += got
+
+
+def one_error_line(data, message):
+    lines = data.split(b"\n")
+    assert len(lines) == 2 and lines[1] == b"", data[:200]
+    assert json.loads(lines[0])["error"] == message, lines[0]
+
+
 def oversize(name, pid, port):
     base = baseline(pid, port)
     s = connect(port)
@@ -118,20 +140,63 @@ def oversize(name, pid, port):
 
     sender = threading.Thread(target=pump)
     sender.start()
-    data = b""
-    while True:
-        got = s.recv(65536)  # a reset instead of EOF raises here
-        if not got:
-            break
-        data += got
+    data = read_to_eof(s)
     sender.join()
     s.close()
-    lines = data.split(b"\n")
-    assert len(lines) == 2 and lines[1] == b"", data[:200]
-    assert "error" in json.loads(lines[0]), lines[0]
+    one_error_line(data, "request line too long")
     assert "stats" in ask(port, HEALTH)
     now = settled(pid, base, ("VmRSS", "Threads", "fds"))
     print("ok: %s oversize 64 MiB: %s -> %s" % (name, base, now))
+
+
+def cap(name, pid, port, others):
+    """`others` is how many connections the server already runs (the
+    router's pooled connection to its backend)."""
+    base = baseline(pid, port)
+    held = []
+    try:
+        for _ in range(MAX_CONNECTIONS - others):
+            s = connect(port)
+            held.append(s)
+            s.sendall(HEALTH)
+            assert "stats" in json.loads(s.makefile("rb").readline())
+        refused = connect(port)
+        one_error_line(read_to_eof(refused), "too many connections")
+        refused.close()
+    finally:
+        for s in held:
+            s.close()
+    # Not RSS: what 256 live connections freed may stay in allocator caches
+    # (and in ASan's quarantine); churn is the leak check for memory.
+    now = settled(pid, base, ("Threads", "fds"))
+    assert "stats" in ask(port, HEALTH)
+    print("ok: %s cap %d: %s -> %s" % (name, MAX_CONNECTIONS, base, now))
+
+
+def slowloris(name, pid, port):
+    base = baseline(pid, port)
+    s = connect(port)
+    start = time.time()
+    chunks = []
+    try:
+        for byte in HEALTH:  # its newline would come at 15 s
+            s.sendall(bytes([byte]))
+            if select.select([s], [], [], 1.0)[0]:
+                break
+        while True:
+            chunks.append(s.recv(65536))
+            if not chunks[-1]:
+                break
+    except ConnectionError:
+        pass  # a byte sent after the server hung up; the line came before
+    elapsed = time.time() - start
+    s.close()
+    data = b"".join(chunks)
+    assert LINE_DEADLINE_S - 1 < elapsed < LINE_DEADLINE_S + 3, elapsed
+    one_error_line(data, "request line too slow")
+    now = settled(pid, base, ("Threads", "fds"))
+    print("ok: %s slowloris cut after %.1f s: %s -> %s"
+          % (name, elapsed, base, now))
 
 
 def busy_worker(proc, port):
@@ -195,6 +260,10 @@ def main():
         churn("router", front.pid, router_port)
         oversize("serve", backend.pid, serve_port)
         oversize("router", front.pid, router_port)
+        cap("serve", backend.pid, serve_port, others=1)
+        cap("router", front.pid, router_port, others=0)
+        slowloris("serve", backend.pid, serve_port)
+        slowloris("router", front.pid, router_port)
         busy_worker(busy, busy_port)
 
         shutdown(front, router_port)

@@ -5,6 +5,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -129,7 +130,7 @@ TEST(Net, ReaderStripsCarriageReturnsAndSkipsEmptyLines) {
   pair.close_end(1);
   LineReader reader(pair.fd[0], 0);
   EXPECT_EQ(read_lines(reader), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_FALSE(reader.overflowed());
+  EXPECT_EQ(reader.rejected(), nullptr);
 }
 
 TEST(Net, ReaderJoinsALineSplitAcrossReads) {
@@ -152,7 +153,7 @@ TEST(Net, ReaderDropsAPartialLineAtEof) {
   pair.close_end(1);
   LineReader reader(pair.fd[0], 0);
   EXPECT_EQ(read_lines(reader), (std::vector<std::string>{"abc"}));
-  EXPECT_FALSE(reader.overflowed());
+  EXPECT_EQ(reader.rejected(), nullptr);
 }
 
 TEST(Net, ReaderRejectsLinesOverTheCap) {
@@ -161,7 +162,7 @@ TEST(Net, ReaderRejectsLinesOverTheCap) {
     write_all(pair.fd[1], "12345678\n123456789\nnever\n");
     LineReader reader(pair.fd[0], 8);
     EXPECT_EQ(read_lines(reader), (std::vector<std::string>{"12345678"}));
-    EXPECT_TRUE(reader.overflowed());
+    EXPECT_STREQ(reader.rejected(), "request line too long");
   }
   {
     // No newline ever comes and the writer stays open: the reader must give
@@ -171,7 +172,7 @@ TEST(Net, ReaderRejectsLinesOverTheCap) {
     LineReader reader(pair.fd[0], 8);
     std::string line;
     EXPECT_FALSE(reader.next(line));
-    EXPECT_TRUE(reader.overflowed());
+    EXPECT_STREQ(reader.rejected(), "request line too long");
   }
 }
 
@@ -185,8 +186,32 @@ TEST(Net, ReaderReturnsWhenStopIsRequested) {
   });
   std::string line;
   EXPECT_FALSE(reader.next(line));
-  EXPECT_FALSE(reader.overflowed());
+  EXPECT_EQ(reader.rejected(), nullptr);
   stopper.join();
+}
+
+TEST(Net, ReaderGivesUpOnALineSlowerThanItsDeadline) {
+  SocketPair pair;
+  LineReader reader(pair.fd[0], 0, [] { return false; }, 300ms);
+  std::atomic<bool> reading{true};
+  std::thread writer([&] {
+    std::this_thread::sleep_for(500ms);  // idle between lines: no deadline
+    write_all(pair.fd[1], "ok\n");
+    // One byte every 50 ms: the line never ends, but bytes keep arriving.
+    for (int i = 0; i < 60 && reading.load(); ++i) {
+      write_all(pair.fd[1], "x");
+      std::this_thread::sleep_for(50ms);
+    }
+  });
+  std::string line;
+  ASSERT_TRUE(reader.next(line));
+  EXPECT_EQ(line, "ok");
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(reader.next(line));
+  reading.store(false);
+  EXPECT_STREQ(reader.rejected(), "request line too slow");
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 2s);
+  writer.join();
 }
 
 int bound_port(int listen_fd) {
@@ -206,7 +231,7 @@ TEST(Net, ServeTcpEchoesCapsAndStops) {
         if (line == "stop") return false;
         conn.send(line);
       }
-      if (reader.overflowed()) conn.send("overflow");
+      if (reader.rejected()) conn.send("overflow");
       return true;
     });
   });
@@ -242,6 +267,102 @@ TEST(Net, ServeTcpEchoesCapsAndStops) {
   write_all(stopper, "stop\n");
   server.join();  // returns only once every connection thread is joined
   ::close(stopper);
+}
+
+TEST(Net, ServeTcpRefusesConnectionsPastTheCap) {
+  const int listen_fd = listen_tcp(0);
+  const int port = bound_port(listen_fd);
+  std::thread server([listen_fd] {
+    serve_tcp(listen_fd, [](LineConn& conn, LineReader& reader) {
+      std::string line;
+      while (reader.next(line)) {
+        if (line == "stop") return false;
+        conn.send(line);
+      }
+      return true;
+    });
+  });
+  // Echo one line: true once the server runs this connection.
+  const auto served = [](int fd) {
+    LineConn conn(fd);
+    LineReader reader(fd, 0);
+    std::string line;
+    return conn.send("hi") && reader.next(line) && line == "hi";
+  };
+
+  std::vector<int> held;
+  for (std::size_t i = 0; i < kMaxConnections; ++i) {
+    held.push_back(connect_tcp("127.0.0.1", port));
+    ASSERT_GE(held.back(), 0);
+    ASSERT_TRUE(served(held.back())) << "connection " << i;
+  }
+  const int refused = connect_tcp("127.0.0.1", port);
+  ASSERT_GE(refused, 0);
+  EXPECT_EQ(read_to_eof(refused), "{\"error\":\"too many connections\",\"id\":0}\n");
+  ::close(refused);
+
+  // A closed connection frees its slot once its thread is done.
+  ::close(held.back());
+  held.pop_back();
+  bool again = false;
+  for (int attempt = 0; attempt < 50 && !again; ++attempt) {
+    const int fd = connect_tcp("127.0.0.1", port);
+    ASSERT_GE(fd, 0);
+    again = served(fd);
+    ::close(fd);
+    if (!again) std::this_thread::sleep_for(20ms);
+  }
+  EXPECT_TRUE(again);
+
+  for (const int fd : held) ::close(fd);  // at most cap - 1 stay live now
+  const int stopper = connect_tcp("127.0.0.1", port);
+  ASSERT_GE(stopper, 0);
+  write_all(stopper, "stop\n");
+  server.join();
+  ::close(stopper);
+}
+
+TEST(Net, AcceptedSocketAnswersBackToBackLinesWithoutDelayedAck) {
+  // Two small writes in a row on an accepted socket: with Nagle on, the
+  // second one waits for the client's delayed ACK (~40 ms on Linux).
+  const int listen_fd = listen_tcp(0);
+  const int port = bound_port(listen_fd);
+  std::thread server([listen_fd] {
+    serve_tcp(listen_fd, [](LineConn& conn, LineReader& reader) {
+      std::string line;
+      while (reader.next(line)) {
+        if (line == "stop") return false;
+        conn.send("first");
+        conn.send("second");
+      }
+      return true;
+    });
+  });
+
+  const int fd = connect_tcp("127.0.0.1", port);
+  ASSERT_GE(fd, 0);
+  {
+    LineConn conn(fd);
+    LineReader reader(fd, 0);
+    std::vector<double> rounds_ms;
+    std::string line;
+    for (int i = 0; i < 50; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      ASSERT_TRUE(conn.send("ping"));
+      ASSERT_TRUE(reader.next(line));
+      ASSERT_EQ(line, "first");
+      ASSERT_TRUE(reader.next(line));
+      ASSERT_EQ(line, "second");
+      rounds_ms.push_back(std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - start)
+                              .count());
+    }
+    std::nth_element(rounds_ms.begin(), rounds_ms.begin() + 25, rounds_ms.end());
+    EXPECT_LT(rounds_ms[25], 10.0) << "median round in ms";
+    conn.send("stop");
+  }
+  server.join();
+  ::close(fd);
 }
 
 }  // namespace

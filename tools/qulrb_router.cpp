@@ -86,7 +86,7 @@ int run(const RouterOptions& options) {
     std::string line;
     bool open = true;
     while (open && reader.next(line)) open = router.handle_client_line(session, line);
-    if (reader.overflowed()) conn.send(service::encode_error("request line too long", 0));
+    if (const char* why = reader.rejected()) conn.send(service::encode_error(why, 0));
     return open;
   });
 

@@ -291,7 +291,7 @@ int run_stdio(service::RebalanceService& svc, const ServeOptions& options) {
   std::string line;
   while (in.next(line) && session.handle_line(line)) {
   }
-  if (in.overflowed()) out.send(service::encode_error("request line too long", 0));
+  if (const char* why = in.rejected()) out.send(service::encode_error(why, 0));
   shutdown_service(svc, options, net::stop_requested());
   return 0;
 }
@@ -306,7 +306,7 @@ int run_tcp(service::RebalanceService& svc, const ServeOptions& options) {
     std::string line;
     bool open = true;
     while (open && reader.next(line)) open = session.handle_line(line);
-    if (reader.overflowed()) conn.send(service::encode_error("request line too long", 0));
+    if (const char* why = reader.rejected()) conn.send(service::encode_error(why, 0));
     return open;
   });
   shutdown_service(svc, options, net::stop_requested());
