@@ -110,6 +110,35 @@ void BM_CqmAnnealSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_CqmAnnealSweep)->Arg(8)->Arg(32);
 
+void BM_CqmRefineSweep(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto scenario = workloads::scenarios::node_scaling(m);
+  const lrp::LrpCqm cqm(scenario.problem, lrp::CqmVariant::kReduced, 500);
+  const std::vector<double> penalties(cqm.cqm().num_constraints(), 1.0);
+  const auto pairs = anneal::PairMoveIndex::build(cqm.cqm());
+  // The serving path's anneal: refinement from a warm hint. The hint is a
+  // short refinement from the no-migration point, so few bits are set and
+  // most pair classes have no (set, clear) pair to offer.
+  util::Rng rng(7);
+  anneal::CqmAnnealParams params;
+  params.refinement = true;
+  params.sweeps = 20;
+  const model::State warm =
+      anneal::CqmAnnealer(params)
+          .anneal_once(cqm.cqm(), penalties, rng,
+                       model::State(cqm.num_binary_variables(), 0), nullptr, &pairs)
+          .state;
+  params.sweeps = 1;
+  const anneal::CqmAnnealer annealer(params);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        annealer.anneal_once(cqm.cqm(), penalties, rng, warm, nullptr, &pairs));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cqm.num_binary_variables()));
+}
+BENCHMARK(BM_CqmRefineSweep)->Arg(8)->Arg(32);
+
 void BM_CqmPairIndexBuild(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto scenario = workloads::scenarios::node_scaling(m);

@@ -199,14 +199,54 @@ void CqmIncrementalState::apply_flip(VarId v) noexcept {
     gv += sign * t.coeff;
   }
 
-  for (const auto& inc : (*con_inc_)[v]) {
+  const auto con_row = (*con_inc_)[v];
+  for (const auto& inc : con_row) {
     ConSlot& slot = cons_[inc.index];
     const double nact = slot.activity + sign * inc.coeff;
     penalty_ += penalty_of(slot, nact) - penalty_of(slot, slot.activity);
     slot.activity = nact;
   }
 
+  if (pair_inc_bits_ != nullptr) {
+    // The bound index's bits run parallel to the constraint incidence rows.
+    const std::uint32_t* bits =
+        pair_inc_bits_ + (con_row.data() - con_inc_->entries().data());
+    for (std::size_t k = 0; k < con_row.size(); ++k) {
+      pair_bits_[bits[k] >> 6] ^= std::uint64_t{1} << (bits[k] & 63);
+    }
+  }
+
   state_[v] ^= 1u;
+}
+
+void CqmIncrementalState::bind_pairs(const PairMoveIndex& pairs) {
+  util::require(pairs.inc_bits_.size() == con_inc_->num_entries(),
+                "CqmIncrementalState: pair index built for another model");
+  pairs_ = &pairs;
+  pair_inc_bits_ = pairs.inc_bits_.data();
+  // Class by class, so each word is assembled in a register and stored once.
+  // The word after the last class takes the flips of incidences in no class.
+  pair_bits_.assign(pairs.class_words_.back() + 1, 0);
+  for (std::size_t c = 0; c < pairs.num_classes(); ++c) {
+    const auto members = pairs.class_at(c);
+    std::uint64_t* words = pair_bits_.data() + pairs.class_words_[c];
+    for (std::size_t i = 0; i < members.size(); i += 64) {
+      std::uint64_t word = 0;
+      for (std::size_t j = i; j < std::min(members.size(), i + 64); ++j) {
+        word |= std::uint64_t{state_[members[j]]} << (j - i);
+      }
+      words[i >> 6] = word;
+    }
+  }
+}
+
+bool CqmIncrementalState::pair_member_set(std::size_t c, std::size_t i) const noexcept {
+  const std::size_t bit = std::size_t{pairs_->class_words_[c]} * 64 + i;
+  return ((pair_bits_[bit >> 6] >> (bit & 63)) & 1u) != 0;
+}
+
+std::size_t CqmIncrementalState::pair_set_count(std::size_t c) const noexcept {
+  return pairs_->set_count(*this, c);
 }
 
 void CqmIncrementalState::set_penalties(std::vector<double> penalties) {
@@ -222,28 +262,67 @@ void CqmIncrementalState::set_penalties(std::vector<double> penalties) {
 PairMoveIndex PairMoveIndex::build(const CqmModel& cqm) {
   PairMoveIndex index;
   index.class_offsets_.push_back(0);
+  index.class_words_.push_back(0);
+  // Membership rows, parallel to the model's constraint incidence: that CSR
+  // lists each variable's (constraint, term) pairs in constraint order, so
+  // the k-th term naming v, counting constraints in order, is entry k of v's
+  // row. `next` walks each row as the terms are visited below.
+  constexpr std::uint32_t kNoBit = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> next(cqm.num_variables());
+  {
+    const auto& incidence = cqm.constraint_incidence();
+    const auto* first = incidence.entries().data();
+    for (std::size_t v = 0; v < next.size(); ++v) {
+      next[v] = static_cast<std::uint32_t>(incidence[v].data() - first);
+    }
+    index.inc_bits_.assign(incidence.num_entries(), kNoBit);
+  }
   // Group each constraint's variables by |coefficient| (exact bit match — the
   // LRP coefficients are integers scaled by task loads, so equality is
   // meaningful; near-equal floats simply land in separate classes). Grouping
   // uses a linear-probe table keyed on the coefficient's bit pattern instead
-  // of a comparison sort: O(terms) per constraint, and the scratch buffers
-  // are reused across constraints so build cost stays linear in the model.
+  // of a comparison sort: O(terms) per constraint. The table starts with
+  // room for every term but at most 128 slots, and doubles only when the
+  // distinct magnitudes fill half of it, so it stays in L1 on the LRP models
+  // (a handful of coefficients per constraint); the scratch buffers are
+  // reused across constraints.
   // Classes come out in first-occurrence order and members in term order,
   // both of which are deterministic model insertion orders.
   constexpr std::uint32_t kFree = 0xFFFFFFFFu;
+  constexpr std::uint32_t kNoClass = 0xFFFFFFFFu;
   std::vector<std::uint64_t> slot_key;
   std::vector<std::uint32_t> slot_class;
+  std::vector<std::uint64_t> class_key;
   std::vector<std::uint32_t> term_class;
   std::vector<std::uint32_t> counts;
-  std::vector<std::size_t> cursor;
+  std::vector<std::uint32_t> cursor;
+  std::vector<std::uint32_t> bit_minus_at;
+  std::size_t mask = 0;
+  int shift = 0;
+  auto slot_of = [&](std::uint64_t bits) {
+    // Fibonacci hashing: the top bits of the product depend on every key
+    // bit. (Small integers and powers of two have all-zero low mantissa
+    // bits, so a slot taken from the product's low bits sends them all to
+    // one probe chain.)
+    std::size_t s = static_cast<std::size_t>((bits * 0x9E3779B97F4A7C15ull) >> shift);
+    while (slot_class[s] != kFree && slot_key[s] != bits) s = (s + 1) & mask;
+    return s;
+  };
   for (const auto& con : cqm.constraints()) {
     const auto terms = con.lhs.terms();
-    if (terms.size() < 2) continue;
-    std::size_t cap = 2;
-    while (cap < 2 * terms.size()) cap <<= 1;
-    const std::size_t mask = cap - 1;
-    slot_key.assign(cap, 0);
-    slot_class.assign(cap, kFree);
+    if (terms.size() < 2) {
+      for (const auto& term : terms) ++next[term.var];
+      continue;
+    }
+    mask = 15;
+    shift = 60;
+    while (mask < 127 && mask + 1 < 2 * terms.size()) {
+      mask = 2 * mask + 1;
+      --shift;
+    }
+    slot_key.assign(mask + 1, 0);
+    slot_class.assign(mask + 1, kFree);
+    class_key.clear();
     term_class.resize(terms.size());
     counts.clear();
     for (std::size_t t = 0; t < terms.size(); ++t) {
@@ -251,32 +330,57 @@ PairMoveIndex PairMoveIndex::build(const CqmModel& cqm) {
       const double mag = std::abs(terms[t].coeff);
       static_assert(sizeof(bits) == sizeof(mag));
       std::memcpy(&bits, &mag, sizeof(bits));
-      std::uint64_t h = bits * 0x9E3779B97F4A7C15ull;
-      h ^= h >> 32;
-      std::size_t s = static_cast<std::size_t>(h) & mask;
-      while (slot_class[s] != kFree && slot_key[s] != bits) s = (s + 1) & mask;
+      std::size_t s = slot_of(bits);
       if (slot_class[s] == kFree) {
+        if (2 * (counts.size() + 1) > mask + 1) {
+          // Keep the load factor at or below 1/2: double and reinsert.
+          mask = 2 * mask + 1;
+          --shift;
+          slot_key.assign(mask + 1, 0);
+          slot_class.assign(mask + 1, kFree);
+          for (std::uint32_t c = 0; c < class_key.size(); ++c) {
+            const std::size_t r = slot_of(class_key[c]);
+            slot_key[r] = class_key[c];
+            slot_class[r] = c;
+          }
+          s = slot_of(bits);
+        }
         slot_key[s] = bits;
         slot_class[s] = static_cast<std::uint32_t>(counts.size());
+        class_key.push_back(bits);
         counts.push_back(0);
       }
       term_class[t] = slot_class[s];
       ++counts[term_class[t]];
     }
-    // Lay out classes of size >= 2 contiguously, in discovery order.
-    cursor.assign(counts.size(), static_cast<std::size_t>(-1));
+    // Lay out classes of size >= 2 contiguously, in discovery order. Each
+    // class starts on a fresh occupancy word, so the member at position
+    // `at` of members_ is bit at + bit_minus_at[c].
+    cursor.assign(counts.size(), kNoClass);
+    bit_minus_at.resize(counts.size());
     std::size_t base = index.members_.size();
     for (std::size_t c = 0; c < counts.size(); ++c) {
       if (counts[c] < 2) continue;
-      cursor[c] = base;
+      cursor[c] = static_cast<std::uint32_t>(base);
+      bit_minus_at[c] = static_cast<std::uint32_t>(64 * index.class_words_.back() - base);
       base += counts[c];
       index.class_offsets_.push_back(base);
+      index.class_words_.push_back(index.class_words_.back() + (counts[c] + 63) / 64);
     }
     index.members_.resize(base);
     for (std::size_t t = 0; t < terms.size(); ++t) {
-      auto& at = cursor[term_class[t]];
-      if (at != static_cast<std::size_t>(-1)) index.members_[at++] = terms[t].var;
+      const std::uint32_t c = term_class[t];
+      const std::uint32_t k = next[terms[t].var]++;
+      if (cursor[c] == kNoClass) continue;
+      const std::uint32_t at = cursor[c]++;
+      index.members_[at] = terms[t].var;
+      index.inc_bits_[k] = at + bit_minus_at[c];
     }
+  }
+  // Incidences in no class flip a spare word after the last class.
+  const std::uint32_t spare = 64 * index.class_words_.back();
+  for (auto& bit : index.inc_bits_) {
+    if (bit == kNoBit) bit = spare;
   }
   return index;
 }

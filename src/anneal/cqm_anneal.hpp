@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -17,6 +18,8 @@
 #include "util/rng.hpp"
 
 namespace qulrb::anneal {
+
+class PairMoveIndex;
 
 /// Incrementally-maintained evaluation of a CqmModel under single-bit flips.
 ///
@@ -71,8 +74,16 @@ class CqmIncrementalState {
   /// apply/evaluate/revert churn pair-move proposals otherwise need.
   FlipDelta pair_delta_parts(model::VarId a, model::VarId b) const noexcept;
 
-  /// Commit the flip of variable v, updating all running values.
+  /// Commit the flip of variable v, updating all running values (and the
+  /// pair-class occupancy, when the walk is bound to a PairMoveIndex).
   void apply_flip(model::VarId v) noexcept;
+
+  /// The pair-move index the walk keeps class occupancy for (see
+  /// bind_pairs), or null. Below, that occupancy for class c: whether the
+  /// member at position i is set, and how many members are.
+  const PairMoveIndex* bound_pairs() const noexcept { return pairs_; }
+  bool pair_member_set(std::size_t c, std::size_t i) const noexcept;
+  std::size_t pair_set_count(std::size_t c) const noexcept;
 
   /// Replace the penalty weights and recompute the penalty energy (running
   /// activities are unaffected). Used by adaptive penalty loops.
@@ -116,6 +127,20 @@ class CqmIncrementalState {
   const model::CsrRows<model::CqmModel::Incidence>* group_inc_ = nullptr;
   const model::CsrRows<model::CqmModel::Incidence>* con_inc_ = nullptr;
   const model::CsrRows<model::CqmModel::QuadNeighbor>* quad_inc_ = nullptr;
+
+  // Pair-class occupancy of the bound index (empty while unbound). Per walk,
+  // never shared, so results do not depend on the thread count.
+  friend class PairMoveIndex;
+  /// Bind the walk to a pair-move index built for its model. From then on
+  /// apply_flip also keeps, for every class of `pairs`, a bitset of which
+  /// members are set (one bit flip per class the variable belongs to), so
+  /// PairMoveIndex::attempt draws a (set, clear) pair in O(1). attempt()
+  /// binds on first use; binding to another index rebuilds the bitset in
+  /// one pass over the class members.
+  void bind_pairs(const PairMoveIndex& pairs);
+  const PairMoveIndex* pairs_ = nullptr;
+  const std::uint32_t* pair_inc_bits_ = nullptr;  ///< the index's inc_bits_
+  std::vector<std::uint64_t> pair_bits_;  ///< bit set <=> member is set
 };
 
 /// Index of "pair move" candidates: for every constraint, variables sharing
@@ -126,8 +151,12 @@ class CqmIncrementalState {
 ///
 /// Classes are stored as flat offsets + members arrays, and build() reuses a
 /// single scratch buffer across constraints, so constructing the index is a
-/// sort per constraint and nothing else. The index depends only on the model;
-/// build it once per CQM and share it across restarts and sweeps.
+/// hash pass per constraint and nothing else. build() also emits, for every
+/// variable, its bit in each class it belongs to (membership rows, laid out
+/// parallel to the model's constraint incidence rows, which apply_flip walks
+/// anyway): walks bound to the index read them to keep their class
+/// occupancy current. The index depends only on the model; build it once
+/// per CQM and share it across restarts, sweeps and walks.
 class PairMoveIndex {
  public:
   static PairMoveIndex build(const model::CqmModel& cqm);
@@ -146,6 +175,12 @@ class PairMoveIndex {
   /// delta. With `feasible_only`, any violation-increasing proposal is
   /// rejected and the criterion applies to the objective part alone.
   /// Returns true when a move was applied.
+  ///
+  /// The proposal has the law of drawing up to 8 ordered member pairs of the
+  /// class and taking the first (set, clear) one, but costs O(1): from the
+  /// walk's class occupancy (it binds the walk to this index on first use),
+  /// a pair is found with probability 1 - (1 - 2*set*clear/m^2)^8, and a
+  /// found pair is uniform over set x clear.
   bool attempt(CqmIncrementalState& walk, util::Rng& rng, double beta,
                bool feasible_only = false) const;
 
@@ -162,8 +197,24 @@ class PairMoveIndex {
   std::size_t pair_scan_cost() const noexcept;
 
  private:
+  friend class CqmIncrementalState;
+
+  /// Set members of class c in `walk`: a popcount per 64 members.
+  std::size_t set_count(const CqmIncrementalState& walk, std::size_t c) const noexcept;
+  /// Position in class c of a uniform member whose bit in `walk` equals
+  /// `want_set`, given that `count` members match.
+  std::size_t draw_member(const CqmIncrementalState& walk, std::size_t c,
+                          bool want_set, std::size_t count, util::Rng& rng) const;
+
   std::vector<std::size_t> class_offsets_;  ///< size num_classes()+1
   std::vector<model::VarId> members_;
+  /// Each class's occupancy words start at class_words_[c]; member i of the
+  /// class is bit 64 * class_words_[c] + i. Size num_classes()+1.
+  std::vector<std::uint32_t> class_words_;
+  /// Per-variable membership rows, entry for entry parallel to the model's
+  /// constraint_incidence(): the occupancy bit of the class that incidence
+  /// falls in, or a spare bit past the last class when it is in none.
+  std::vector<std::uint32_t> inc_bits_;
 };
 
 struct CqmAnnealParams {
@@ -247,29 +298,65 @@ class CqmAnnealer {
 // hot path.
 // ---------------------------------------------------------------------------
 
+inline std::size_t PairMoveIndex::set_count(const CqmIncrementalState& walk,
+                                            std::size_t c) const noexcept {
+  std::size_t count = 0;
+  for (std::size_t w = class_words_[c]; w < class_words_[c + 1]; ++w) {
+    count += static_cast<std::size_t>(std::popcount(walk.pair_bits_[w]));
+  }
+  return count;
+}
+
+inline std::size_t PairMoveIndex::draw_member(const CqmIncrementalState& walk,
+                                              std::size_t c, bool want_set,
+                                              std::size_t count,
+                                              util::Rng& rng) const {
+  const std::size_t m = class_offsets_[c + 1] - class_offsets_[c];
+  const std::uint64_t* words = walk.pair_bits_.data() + class_words_[c];
+  if (2 * count >= m) {
+    // Dense side: rejection takes at most two draws on average.
+    for (;;) {
+      const auto i = static_cast<std::size_t>(rng.next_below(m));
+      if (((words[i >> 6] >> (i & 63)) & 1u) == static_cast<std::uint64_t>(want_set)) {
+        return i;
+      }
+    }
+  }
+  // Sparse side: take the r-th matching member, counting by popcount.
+  auto r = static_cast<int>(rng.next_below(count));
+  for (std::size_t w = 0;; ++w) {
+    std::uint64_t bits = want_set ? words[w] : ~words[w];
+    if (64 * (w + 1) > m) bits &= (std::uint64_t{1} << (m & 63)) - 1;
+    const int matches = std::popcount(bits);
+    if (r < matches) {
+      for (; r > 0; --r) bits &= bits - 1;
+      return 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+    }
+    r -= matches;
+  }
+}
+
 inline bool PairMoveIndex::attempt(CqmIncrementalState& walk, util::Rng& rng,
                                    double beta, bool feasible_only) const {
   if (empty()) return false;
-  const auto members =
-      class_at(static_cast<std::size_t>(rng.next_below(num_classes())));
-  // Find a (set, clear) pair by rejection sampling.
-  model::VarId set_var = 0;
-  model::VarId clear_var = 0;
-  bool found = false;
-  for (int attempt_i = 0; attempt_i < 8 && !found; ++attempt_i) {
-    const model::VarId a =
-        members[static_cast<std::size_t>(rng.next_below(members.size()))];
-    const model::VarId b =
-        members[static_cast<std::size_t>(rng.next_below(members.size()))];
-    if (a == b) continue;
-    const bool sa = walk.state()[a] != 0;
-    const bool sb = walk.state()[b] != 0;
-    if (sa == sb) continue;
-    set_var = sa ? a : b;
-    clear_var = sa ? b : a;
-    found = true;
-  }
-  if (!found) return false;
+  if (walk.pairs_ != this) walk.bind_pairs(*this);
+  const auto c = static_cast<std::size_t>(rng.next_below(num_classes()));
+  const std::size_t m = class_offsets_[c + 1] - class_offsets_[c];
+  const std::size_t set = set_count(walk, c);
+  const std::size_t clear = m - set;
+  if (set == 0 || clear == 0) return false;
+  // One ordered draw (a, b) of members is a (set, clear) pair either way
+  // round with probability 2*set*clear/m^2; eight draws all miss with the
+  // eighth power of the complement.
+  const double mm = static_cast<double>(m) * static_cast<double>(m);
+  const double miss = 1.0 - 2.0 * static_cast<double>(set) *
+                                static_cast<double>(clear) / mm;
+  const double miss2 = miss * miss;
+  const double miss4 = miss2 * miss2;
+  if (rng.next_double() < miss4 * miss4) return false;
+  const model::VarId* members = members_.data() + class_offsets_[c];
+  const model::VarId set_var = members[draw_member(walk, c, true, set, rng)];
+  const model::VarId clear_var = members[draw_member(walk, c, false, clear, rng)];
 
   // Evaluate the joint move without touching the state; apply only on accept.
   const auto delta = walk.pair_delta_parts(set_var, clear_var);

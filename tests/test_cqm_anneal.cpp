@@ -3,11 +3,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "anneal/cqm_anneal.hpp"
+#include "anneal/hybrid.hpp"
 #include "anneal/tempering.hpp"
 #include "lrp/cqm_builder.hpp"
 #include "lrp/problem.hpp"
@@ -454,6 +458,226 @@ TEST(ParallelTempering, PoolOfAnySizeMatchesReference) {
       expect_sample_eq(ParallelTempering(params).run(cqm, penalties, {}, &pairs),
                        expected);
       params.pool = nullptr;
+    }
+  }
+}
+
+// ------------------------------------------------- pair proposal law ------
+
+using PairDraw = std::optional<std::pair<VarId, VarId>>;  ///< (set, clear)
+
+// The proposal PairMoveIndex::attempt had before it kept class occupancy,
+// kept here as the reference for its law: up to 8 ordered member draws, and
+// the first (set, clear) pair wins.
+PairDraw rejection_pair(std::span<const VarId> members, const State& state,
+                        util::Rng& rng) {
+  for (int t = 0; t < 8; ++t) {
+    const VarId a = members[static_cast<std::size_t>(rng.next_below(members.size()))];
+    const VarId b = members[static_cast<std::size_t>(rng.next_below(members.size()))];
+    if (a == b) continue;
+    const bool sa = state[a] != 0;
+    const bool sb = state[b] != 0;
+    if (sa == sb) continue;
+    return sa ? std::pair{a, b} : std::pair{b, a};
+  }
+  return std::nullopt;
+}
+
+// Upper 1e-4 quantile of chi-square with `dof` degrees of freedom
+// (Wilson-Hilferty).
+double chi_square_bound(std::size_t dof) {
+  const double k = static_cast<double>(dof);
+  const double h = 2.0 / (9.0 * k);
+  return k * std::pow(1.0 - h + 3.719 * std::sqrt(h), 3.0);
+}
+
+// Two-sample chi-square homogeneity test on category counts (the samples may
+// differ in size). True when the two could share one law.
+bool same_law(const std::vector<double>& a, const std::vector<double>& b) {
+  double na = 0.0;
+  double nb = 0.0;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    na += a[k];
+    nb += b[k];
+  }
+  if (na == 0.0 || nb == 0.0) return na == nb;
+  double stat = 0.0;
+  std::size_t cells = 0;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (a[k] + b[k] == 0.0) continue;
+    const double d = std::sqrt(nb / na) * a[k] - std::sqrt(na / nb) * b[k];
+    stat += d * d / (a[k] + b[k]);
+    ++cells;
+  }
+  return cells < 2 || stat <= chi_square_bound(cells - 1);
+}
+
+// One class of m members (a single constraint with equal coefficients, no
+// objective) with `set` of them set at random positions.
+struct OneClass {
+  CqmModel model;
+  State state;
+  std::vector<VarId> set_vars;
+  std::vector<VarId> clear_vars;
+
+  OneClass(std::size_t set, std::size_t m) : state(m, 0) {
+    LinearExpr lhs;
+    for (std::size_t i = 0; i < m; ++i) {
+      lhs.add_term(model.add_variable(), 1.0);
+    }
+    model.add_constraint(std::move(lhs), Sense::LE, static_cast<double>(m));
+    std::vector<VarId> order(m);
+    for (std::size_t i = 0; i < m; ++i) order[i] = static_cast<VarId>(i);
+    util::Rng rng(set * 1000 + m);
+    for (std::size_t i = m; i > 1; --i) {
+      std::swap(order[i - 1], order[static_cast<std::size_t>(rng.next_below(i))]);
+    }
+    for (std::size_t i = 0; i < set; ++i) state[order[i]] = 1;
+    for (VarId v = 0; v < m; ++v) (state[v] ? set_vars : clear_vars).push_back(v);
+  }
+};
+
+// Same-law check between two samplers over `draws` proposals each: the
+// "found" frequency, and given a find, the (set, clear) outcome. Outcomes are
+// compared one by one when there are at most 256, else in 16 x 16 buckets
+// of the set and clear members.
+bool samplers_agree(const OneClass& cls, const std::function<PairDraw(util::Rng&)>& a,
+                    const std::function<PairDraw(util::Rng&)>& b, std::size_t draws) {
+  const std::size_t ns = cls.set_vars.size();
+  const std::size_t nc = cls.clear_vars.size();
+  const bool exact = ns * nc <= 256;
+  const std::size_t bs = exact ? ns : 16;
+  const std::size_t bc = exact ? nc : 16;
+  std::vector<std::size_t> set_pos(cls.state.size());
+  std::vector<std::size_t> clear_pos(cls.state.size());
+  for (std::size_t i = 0; i < ns; ++i) set_pos[cls.set_vars[i]] = i * bs / ns;
+  for (std::size_t j = 0; j < nc; ++j) clear_pos[cls.clear_vars[j]] = j * bc / nc;
+  // Independent streams for the two samplers.
+  auto tally = [&](const std::function<PairDraw(util::Rng&)>& sampler,
+                   std::uint64_t seed, std::vector<double>& found,
+                   std::vector<double>& pairs) {
+    util::Rng rng(seed);
+    found.assign(2, 0.0);
+    pairs.assign(bs * bc, 0.0);
+    for (std::size_t t = 0; t < draws; ++t) {
+      const PairDraw d = sampler(rng);
+      found[d ? 1 : 0] += 1.0;
+      if (d) pairs[set_pos[d->first] * bc + clear_pos[d->second]] += 1.0;
+    }
+  };
+  std::vector<double> found_a, pairs_a, found_b, pairs_b;
+  tally(a, 97, found_a, pairs_a);
+  tally(b, 98, found_b, pairs_b);
+  return same_law(found_a, found_b) && same_law(pairs_a, pairs_b);
+}
+
+TEST(PairMoves, SamplerMatchesRejectionLaw) {
+  constexpr std::size_t kDraws = 40000;
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {1, 31}, {15, 31}, {30, 31}, {1, 2}, {0, 5}, {5, 5}, {30, 992}};
+  for (const auto& [set, m] : cases) {
+    SCOPED_TRACE("set " + std::to_string(set) + " of " + std::to_string(m));
+    const OneClass cls(set, m);
+    const PairMoveIndex index = PairMoveIndex::build(cls.model);
+    ASSERT_EQ(index.num_classes(), 1u);
+    const auto members = index.class_at(0);
+    CqmIncrementalState walk(cls.model, cls.state,
+                             std::vector<double>(cls.model.num_constraints(), 1.0));
+
+    auto reference = [&](util::Rng& rng) {
+      return rejection_pair(members, cls.state, rng);
+    };
+    // attempt() at beta = 0 applies every pair it finds: read the move back
+    // from the state, then undo it.
+    auto attempt = [&](util::Rng& rng) -> PairDraw {
+      if (!index.attempt(walk, rng, 0.0)) return std::nullopt;
+      const auto now = [&](VarId v) { return walk.state()[v] != 0; };
+      const auto s = std::find_if(cls.set_vars.begin(), cls.set_vars.end(),
+                                  [&](VarId v) { return !now(v); });
+      const auto c = std::find_if(cls.clear_vars.begin(), cls.clear_vars.end(), now);
+      if (s == cls.set_vars.end() || c == cls.clear_vars.end()) {
+        ADD_FAILURE() << "attempt() applied something other than a (set, clear) pair";
+        return std::nullopt;
+      }
+      walk.apply_flip(*s);
+      walk.apply_flip(*c);
+      return std::pair{*s, *c};
+    };
+    // The negative control: the occupancy sampler with the miss probability
+    // raised to the 7th power, not the 8th.
+    auto seventh_power = [&](util::Rng& rng) -> PairDraw {
+      const auto ns = static_cast<double>(cls.set_vars.size());
+      const auto nc = static_cast<double>(cls.clear_vars.size());
+      if (ns == 0.0 || nc == 0.0) return std::nullopt;
+      const double miss = 1.0 - 2.0 * ns * nc / static_cast<double>(m * m);
+      if (rng.next_double() < std::pow(miss, 7.0)) return std::nullopt;
+      return std::pair{
+          cls.set_vars[static_cast<std::size_t>(rng.next_below(cls.set_vars.size()))],
+          cls.clear_vars[static_cast<std::size_t>(rng.next_below(cls.clear_vars.size()))]};
+    };
+
+    EXPECT_TRUE(samplers_agree(cls, reference, attempt, kDraws));
+    EXPECT_EQ(walk.state(), cls.state);
+    const bool has_pairs = set > 0 && set < m;
+    EXPECT_EQ(samplers_agree(cls, reference, seventh_power, kDraws), !has_pairs);
+  }
+}
+
+// The walk's maintained class occupancy, against a recount from its state.
+::testing::AssertionResult occupancy_matches_state(const CqmIncrementalState& walk,
+                                                   const PairMoveIndex& index) {
+  if (walk.bound_pairs() != &index) {
+    return ::testing::AssertionFailure() << "walk not bound to the index";
+  }
+  for (std::size_t c = 0; c < index.num_classes(); ++c) {
+    const auto members = index.class_at(c);
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const bool set = walk.state()[members[i]] != 0;
+      count += set ? 1 : 0;
+      if (walk.pair_member_set(c, i) != set) {
+        return ::testing::AssertionFailure()
+               << "class " << c << " member " << i << " bit is stale";
+      }
+    }
+    if (walk.pair_set_count(c) != count) {
+      return ::testing::AssertionFailure() << "class " << c << " count "
+                                           << walk.pair_set_count(c) << " != " << count;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(PairMoves, OccupancyTracksEveryFlip) {
+  for (const auto variant : {lrp::CqmVariant::kReduced, lrp::CqmVariant::kFull}) {
+    SCOPED_TRACE(variant == lrp::CqmVariant::kReduced ? "Q_CQM1" : "Q_CQM2");
+    const CqmModel cqm = skewed_lrp_cqm(variant);
+    const PairMoveIndex index = PairMoveIndex::build(cqm);
+    ASSERT_FALSE(index.empty());
+    const std::size_t n = cqm.num_variables();
+    util::Rng rng(41);
+    CqmIncrementalState walk(cqm, random_state(rng, n),
+                             std::vector<double>(cqm.num_constraints(), 2.0));
+    // attempt() binds the walk on first use.
+    EXPECT_EQ(walk.bound_pairs(), nullptr);
+    index.attempt(walk, rng, 1.0);
+    ASSERT_TRUE(occupancy_matches_state(walk, index));
+
+    const double betas[] = {0.0, 0.05, 1.0, 1e30};
+    for (std::size_t step = 1; step <= 3000; ++step) {
+      if (step % 3 == 0) {
+        walk.apply_flip(static_cast<VarId>(rng.next_below(n)));
+      } else {
+        index.attempt(walk, rng, betas[(step / 3) % 4], step % 2 == 0);
+      }
+      if (step % 1000 == 0) {
+        index.descend(walk);
+        ASSERT_TRUE(occupancy_matches_state(walk, index)) << "after descend";
+        HybridCqmSolver::greedy_descent(walk, rng);
+      }
+      if (step % 100 == 0) {
+        ASSERT_TRUE(occupancy_matches_state(walk, index)) << "step " << step;
+      }
     }
   }
 }
