@@ -88,7 +88,7 @@ void BM_CqmAnnealSweepObsOff(benchmark::State& state) {
   const anneal::CqmAnnealer annealer(params);
   for (auto _ : state) {
     benchmark::DoNotOptimize(annealer.anneal_once(fx.cqm.cqm(), fx.penalties,
-                                                  rng, {}, nullptr, &fx.pairs));
+                                                  rng, {}, &fx.pairs));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
@@ -103,12 +103,12 @@ void BM_CqmAnnealSweepObsOn(benchmark::State& state) {
   obs::MetricsRegistry registry;
   anneal::CqmAnnealParams params;
   params.sweeps = 1;
-  params.recorder = &recorder;
-  params.sweep_counter = &registry.counter("qulrb_solver_sweeps_total", "");
+  params.sinks.recorder = &recorder;
+  params.sinks.sweep_counter = &registry.counter("qulrb_solver_sweeps_total", "");
   const anneal::CqmAnnealer annealer(params);
   for (auto _ : state) {
     benchmark::DoNotOptimize(annealer.anneal_once(fx.cqm.cqm(), fx.penalties,
-                                                  rng, {}, nullptr, &fx.pairs));
+                                                  rng, {}, &fx.pairs));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
@@ -125,13 +125,13 @@ void BM_CqmAnnealSweepFlightOn(benchmark::State& state) {
   obs::FlightRecorder flight;
   anneal::CqmAnnealParams params;
   params.sweeps = 1;
-  params.flight = &flight;
-  params.flight_name = flight.intern("anneal_once");
-  params.flight_rid = 1;
+  params.sinks.flight = &flight;
+  params.sinks.flight_name = flight.intern("anneal_once");
+  params.sinks.flight_rid = 1;
   const anneal::CqmAnnealer annealer(params);
   for (auto _ : state) {
     benchmark::DoNotOptimize(annealer.anneal_once(fx.cqm.cqm(), fx.penalties,
-                                                  rng, {}, nullptr, &fx.pairs));
+                                                  rng, {}, &fx.pairs));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
@@ -155,7 +155,7 @@ void BM_CqmAnnealSweepProfOn(benchmark::State& state) {
   const anneal::CqmAnnealer annealer(params);
   for (auto _ : state) {
     benchmark::DoNotOptimize(annealer.anneal_once(fx.cqm.cqm(), fx.penalties,
-                                                  rng, {}, nullptr, &fx.pairs));
+                                                  rng, {}, &fx.pairs));
   }
   if (sampling) profiler.stop();
   state.SetItemsProcessed(

@@ -8,6 +8,7 @@
 #include "anneal/cqm_anneal.hpp"
 #include "anneal/pimc.hpp"
 #include "anneal/sa.hpp"
+#include "anneal/tempering.hpp"
 #include "classical/greedy.hpp"
 #include "classical/kk.hpp"
 #include "classical/proactlb.hpp"
@@ -103,7 +104,7 @@ void BM_CqmAnnealSweep(benchmark::State& state) {
   const auto pairs = anneal::PairMoveIndex::build(cqm.cqm());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        annealer.anneal_once(cqm.cqm(), penalties, rng, {}, nullptr, &pairs));
+        annealer.anneal_once(cqm.cqm(), penalties, rng, {}, &pairs));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(cqm.num_binary_variables()));
@@ -126,18 +127,44 @@ void BM_CqmRefineSweep(benchmark::State& state) {
   const model::State warm =
       anneal::CqmAnnealer(params)
           .anneal_once(cqm.cqm(), penalties, rng,
-                       model::State(cqm.num_binary_variables(), 0), nullptr, &pairs)
+                       model::State(cqm.num_binary_variables(), 0), &pairs)
           .state;
   params.sweeps = 1;
   const anneal::CqmAnnealer annealer(params);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        annealer.anneal_once(cqm.cqm(), penalties, rng, warm, nullptr, &pairs));
+        annealer.anneal_once(cqm.cqm(), penalties, rng, warm, &pairs));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(cqm.num_binary_variables()));
 }
 BENCHMARK(BM_CqmRefineSweep)->Arg(8)->Arg(32);
+
+void BM_TemperingSweep(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto scenario = workloads::scenarios::node_scaling(m);
+  const lrp::LrpCqm cqm(scenario.problem, lrp::CqmVariant::kReduced, 500);
+  const std::vector<double> penalties(cqm.cqm().num_constraints(), 1.0);
+  const auto pairs = anneal::PairMoveIndex::build(cqm.cqm());
+  // The tempered restart of the hybrid portfolio, inline (no pool): per
+  // iteration, one sweep of each of the 6 replicas of the production ladder
+  // and one exchange pass, so the swap and incumbent-merge overhead is
+  // included. Items are single-replica steps.
+  anneal::TemperingParams params;
+  params.num_replicas = 6;
+  params.sweeps = 1;
+  params.swap_interval = 1;
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    params.seed = seed++;
+    benchmark::DoNotOptimize(
+        anneal::ParallelTempering(params).run(cqm.cqm(), penalties, {}, &pairs));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(params.num_replicas) *
+                          static_cast<std::int64_t>(cqm.num_binary_variables()));
+}
+BENCHMARK(BM_TemperingSweep)->Arg(8)->Arg(32);
 
 void BM_CqmPairIndexBuild(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <utility>
 
+#include "anneal/schedule.hpp"
+#include "obs/phase.hpp"
 #include "util/error.hpp"
 
 namespace qulrb::anneal {
@@ -394,9 +396,46 @@ std::size_t PairMoveIndex::pair_scan_cost() const noexcept {
   return cost;
 }
 
+void SamplerSinks::finish(double start_us, std::size_t sweeps_done) const {
+  if (sweep_counter != nullptr && sweeps_done > 0) sweep_counter->inc(sweeps_done);
+  if (flight != nullptr) {
+    const double end_us = flight->now_us();
+    flight->record(flight_name, obs::FlightKind::kSpan, trace_track, flight_rid,
+                   end_us, end_us - start_us, static_cast<double>(sweeps_done));
+  }
+}
+
+namespace {
+
+/// Share of Metropolis steps that propose a pair move instead of a flip.
+constexpr double kPairMoveProb = 0.5;
+
+}  // namespace
+
+bool metropolis_sweep(CqmIncrementalState& walk, const PairMoveIndex& pairs,
+                      util::Rng& rng, double beta, bool refinement) {
+  const std::size_t n = walk.num_variables();
+  const bool use_pairs = !pairs.empty();
+  bool moved = false;
+  for (std::size_t step = 0; step < n; ++step) {
+    if (use_pairs && rng.next_bool(kPairMoveProb)) {
+      moved = pairs.attempt(walk, rng, beta, refinement) || moved;
+      continue;
+    }
+    const auto v = static_cast<VarId>(rng.next_below(n));
+    const auto d = walk.flip_delta_parts(v);
+    if (refinement && d.penalty > 0.0) continue;  // keep feasibility
+    const double criterion = refinement ? d.objective : d.total();
+    if (criterion <= 0.0 || rng.next_double() < std::exp(-beta * criterion)) {
+      walk.apply_flip(v);
+      moved = true;
+    }
+  }
+  return moved;
+}
+
 Sample CqmAnnealer::anneal_once(const CqmModel& cqm, std::vector<double> penalties,
                                 util::Rng& rng, const model::State& initial,
-                                AnnealTrace* trace,
                                 const PairMoveIndex* pairs) const {
   const std::size_t n = cqm.num_variables();
   util::require(initial.empty() || initial.size() == n,
@@ -418,11 +457,7 @@ Sample CqmAnnealer::anneal_once(const CqmModel& cqm, std::vector<double> penalti
   // scale so constraints can be escaped early; cold end resolves moves on the
   // *objective* scale so the final refinement is not left at an effectively
   // infinite temperature when penalties dwarf the objective.
-  BetaSchedule schedule = [&] {
-    if (params_.beta_hot && params_.beta_cold) {
-      return BetaSchedule(*params_.beta_hot, *params_.beta_cold, params_.sweeps,
-                          params_.schedule);
-    }
+  const BetaSchedule schedule = [&] {
     double max_abs_total = 1e-9;
     double max_abs_obj = 1e-9;
     const std::size_t probes = std::min<std::size_t>(n, 512);
@@ -436,10 +471,10 @@ Sample CqmAnnealer::anneal_once(const CqmModel& cqm, std::vector<double> penalti
       // Anneal on the objective scale only (feasibility is enforced by the
       // move filter, not the temperature).
       return BetaSchedule::for_energy_scale(max_abs_obj * 1e-7, max_abs_obj,
-                                            params_.sweeps, params_.schedule);
+                                            params_.sweeps);
     }
     return BetaSchedule::for_energy_scale(max_abs_obj * 1e-6, max_abs_total,
-                                          params_.sweeps, params_.schedule);
+                                          params_.sweeps);
   }();
 
   Sample best{walk.state(), walk.objective(), walk.total_violation(), walk.feasible()};
@@ -447,76 +482,39 @@ Sample CqmAnnealer::anneal_once(const CqmModel& cqm, std::vector<double> penalti
   // Explicit profiler phase (not via the Span, which only pushes when a
   // recorder is attached): the sweep loop is where serving CPU goes, and it
   // must be attributable in always-on profiles with tracing off.
+  const SamplerSinks& sinks = params_.sinks;
   obs::prof::PhaseScope anneal_phase(params_.refinement ? "refine" : "anneal");
-  obs::Recorder::Span anneal_span(params_.recorder,
+  obs::Recorder::Span anneal_span(sinks.recorder,
                                   params_.refinement ? "refine" : "anneal",
-                                  "sampler", params_.trace_track);
-  const double flight_start_us =
-      params_.flight != nullptr ? params_.flight->now_us() : 0.0;
+                                  "sampler", sinks.trace_track);
+  const double flight_start_us = sinks.flight_start_us();
   const std::size_t sample_every = std::max<std::size_t>(1, params_.sweeps / 64);
   std::size_t sweeps_done = 0;
 
   const PairMoveIndex local_pairs =
-      (pairs == nullptr && params_.pair_move_prob > 0.0) ? PairMoveIndex::build(cqm)
-                                                         : PairMoveIndex{};
+      pairs == nullptr ? PairMoveIndex::build(cqm) : PairMoveIndex{};
   const PairMoveIndex& pair_index = pairs != nullptr ? *pairs : local_pairs;
-  const bool use_pairs = params_.pair_move_prob > 0.0 && !pair_index.empty();
 
   for (std::size_t sweep = 0; sweep < schedule.sweeps(); ++sweep) {
-    if (params_.cancel.expired()) break;
-    const double beta = schedule.at(sweep);
-    bool improved = false;
-    for (std::size_t step = 0; step < n; ++step) {
-      if (use_pairs && rng.next_bool(params_.pair_move_prob)) {
-        const bool accepted = pair_index.attempt(walk, rng, beta, params_.refinement);
-        improved = accepted || improved;
-        if (trace != nullptr) {
-          ++trace->pair_attempts;
-          if (accepted) ++trace->pair_accepts;
-        }
-        continue;
-      }
-      const auto v = static_cast<VarId>(rng.next_below(n));
-      if (trace != nullptr) ++trace->flip_attempts;
-      const auto d = walk.flip_delta_parts(v);
-      if (params_.refinement && d.penalty > 0.0) continue;  // keep feasibility
-      const double criterion = params_.refinement ? d.objective : d.total();
-      if (criterion <= 0.0 || rng.next_double() < std::exp(-beta * criterion)) {
-        walk.apply_flip(v);
-        improved = true;
-        if (trace != nullptr) ++trace->flip_accepts;
-      }
-    }
-    if (improved) {
+    if (sinks.cancel.expired()) break;
+    if (metropolis_sweep(walk, pair_index, rng, schedule.at(sweep),
+                         params_.refinement)) {
       Sample current{{}, walk.objective(), walk.total_violation(), walk.feasible()};
       if (current.better_than(best)) {
         current.state = walk.state();
         best = std::move(current);
       }
     }
-    if (trace != nullptr) {
-      trace->best_energy_per_sweep.push_back(best.energy + best.violation);
-      trace->violation_per_sweep.push_back(walk.total_violation());
-    }
     ++sweeps_done;
-    if (params_.recorder != nullptr &&
+    if (sinks.recorder != nullptr &&
         (sweep % sample_every == 0 || sweep + 1 == schedule.sweeps())) {
-      params_.recorder->sample("incumbent_energy", params_.trace_track,
-                               best.energy + best.violation);
-      params_.recorder->sample("incumbent_violation", params_.trace_track,
-                               best.violation);
+      sinks.recorder->sample("incumbent_energy", sinks.trace_track,
+                             best.energy + best.violation);
+      sinks.recorder->sample("incumbent_violation", sinks.trace_track,
+                             best.violation);
     }
   }
-  if (params_.sweep_counter != nullptr && sweeps_done > 0) {
-    params_.sweep_counter->inc(sweeps_done);
-  }
-  if (params_.flight != nullptr) {
-    const double end_us = params_.flight->now_us();
-    params_.flight->record(params_.flight_name, obs::FlightKind::kSpan,
-                           params_.trace_track, params_.flight_rid, end_us,
-                           end_us - flight_start_us,
-                           static_cast<double>(sweeps_done));
-  }
+  sinks.finish(flight_start_us, sweeps_done);
   return best;
 }
 

@@ -4,12 +4,10 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "anneal/sampleset.hpp"
-#include "anneal/schedule.hpp"
 #include "model/cqm.hpp"
 #include "obs/metrics.hpp"
 #include "obs/flight_recorder.hpp"
@@ -217,58 +215,56 @@ class PairMoveIndex {
   std::vector<std::uint32_t> inc_bits_;
 };
 
+/// Control and telemetry sinks of one sampler run, shared by CqmAnnealer and
+/// ParallelTempering. Every sink is optional and follows one discipline: it
+/// consumes no RNG and never alters control flow, so output is bitwise
+/// identical with or without it.
+struct SamplerSinks {
+  /// Polled once per sweep; when expired the best-seen sample is returned
+  /// immediately (anytime semantics). Inert by default.
+  util::CancelToken cancel;
+  /// Trace sink: one span per run on `trace_track` plus a sampled
+  /// incumbent-energy timeline (~64 points).
+  obs::Recorder* recorder = nullptr;
+  std::uint32_t trace_track = 0;
+  /// Metrics sink: bumped once per run by the sweeps executed (for
+  /// tempering, rounds over the whole ladder).
+  obs::Counter* sweep_counter = nullptr;
+  /// Always-on flight ring: one compact span per run carrying the executed
+  /// sweep count, stamped with `flight_rid` so a retroactive dump slices out
+  /// the triggering request's solver activity.
+  obs::FlightRecorder* flight = nullptr;
+  std::uint16_t flight_name = 0;  ///< interned record name (flight->intern)
+  std::uint64_t flight_rid = 0;
+
+  /// Start stamp for finish(); 0 when no flight ring is attached.
+  double flight_start_us() const noexcept {
+    return flight != nullptr ? flight->now_us() : 0.0;
+  }
+  /// End of a run: bump the sweep counter, then record the flight span.
+  void finish(double start_us, std::size_t sweeps_done) const;
+};
+
 struct CqmAnnealParams {
   std::size_t sweeps = 2000;
-  ScheduleKind schedule = ScheduleKind::kGeometric;
-  std::optional<double> beta_hot;
-  std::optional<double> beta_cold;
-  /// Fraction of steps using constraint-preserving pair moves instead of
-  /// single-bit flips. 0 disables.
-  double pair_move_prob = 0.5;
   /// Refinement mode: a flat, cold schedule (mostly-descent with rare uphill
   /// moves) that polishes the initial state instead of scrambling it. Used by
   /// the hybrid portfolio to refine trivially feasible starting points.
   bool refinement = false;
-  /// Polled once per sweep; when expired the best-seen sample is returned
-  /// immediately (anytime semantics). Inert by default.
-  util::CancelToken cancel;
-  /// Optional trace sink: records one span per anneal_once on `trace_track`
-  /// plus sampled incumbent-energy/violation timelines (~64 points). Same
-  /// discipline as `cancel`: consumes no RNG, never alters control flow, so
-  /// output is bitwise identical with or without it.
-  obs::Recorder* recorder = nullptr;
-  std::uint32_t trace_track = 0;
-  /// Optional metrics sink: bumped once per anneal_once by the number of
-  /// sweeps actually executed.
-  obs::Counter* sweep_counter = nullptr;
-  /// Optional always-on flight ring: one compact span per anneal_once
-  /// (carrying the executed sweep count), stamped with `flight_rid` so a
-  /// retroactive dump slices out the triggering request's solver activity.
-  /// Same null-object discipline as `recorder`: one predicted branch when
-  /// off, no RNG, bitwise-identical output either way.
-  obs::FlightRecorder* flight = nullptr;
-  std::uint16_t flight_name = 0;  ///< interned record name (flight->intern)
-  std::uint64_t flight_rid = 0;
+  SamplerSinks sinks;
 };
 
-/// Per-run diagnostics: convergence trace and move statistics. Opt-in via
-/// the trace out-parameter of CqmAnnealer::anneal_once.
-struct AnnealTrace {
-  std::vector<double> best_energy_per_sweep;  ///< objective+penalty incumbent
-  std::vector<double> violation_per_sweep;    ///< total violation at sweep end
-  std::size_t flip_attempts = 0;
-  std::size_t flip_accepts = 0;
-  std::size_t pair_attempts = 0;
-  std::size_t pair_accepts = 0;
+/// One Metropolis sweep at inverse temperature `beta`: num_variables()
+/// steps, each a constraint-preserving pair move from `pairs` with
+/// probability 1/2 (none when the index is empty) or else a flip of a
+/// uniform variable, accepted on the combined energy delta. With
+/// `refinement`, any violation-increasing move is rejected and the criterion
+/// is the objective part alone. Returns whether any move was applied. Every
+/// annealed step of CqmAnnealer and of ParallelTempering runs here.
+bool metropolis_sweep(CqmIncrementalState& walk, const PairMoveIndex& pairs,
+                      util::Rng& rng, double beta, bool refinement);
 
-  double flip_acceptance() const noexcept {
-    return flip_attempts > 0
-               ? static_cast<double>(flip_accepts) / static_cast<double>(flip_attempts)
-               : 0.0;
-  }
-};
-
-/// Single-flip Metropolis annealing directly on a CQM: energy is
+/// Metropolis annealing directly on a CQM: energy is
 /// objective + sum_c penalty_c * violation_c. Tracks the best feasible state
 /// seen during the walk (the anytime semantics of hybrid CQM services).
 class CqmAnnealer {
@@ -276,15 +272,14 @@ class CqmAnnealer {
   explicit CqmAnnealer(CqmAnnealParams params = {}) : params_(params) {}
 
   /// Anneal from `initial` (random when empty) with the given per-constraint
-  /// penalty weights. Returns the best-seen sample: best feasible if any
-  /// state visited was feasible, otherwise the lowest (violation, energy).
-  /// When `trace` is non-null, per-sweep convergence data is recorded.
+  /// penalty weights over a geometric schedule derived from the model's
+  /// energy scale. Returns the best-seen sample: best feasible if any state
+  /// visited was feasible, otherwise the lowest (violation, energy).
   /// When `pairs` is non-null it is used as the pair-move index instead of
   /// rebuilding one (callers running many anneals on one model should build
   /// it once and pass it here).
   Sample anneal_once(const model::CqmModel& cqm, std::vector<double> penalties,
                      util::Rng& rng, const model::State& initial = {},
-                     AnnealTrace* trace = nullptr,
                      const PairMoveIndex* pairs = nullptr) const;
 
   const CqmAnnealParams& params() const noexcept { return params_; }
@@ -294,7 +289,7 @@ class CqmAnnealer {
 };
 
 // ---------------------------------------------------------------------------
-// PairMoveIndex move bodies, inline so every sweep loop keeps them in its
+// PairMoveIndex move bodies, inline so the sweep kernel keeps them in its
 // hot path.
 // ---------------------------------------------------------------------------
 

@@ -24,6 +24,18 @@ using model::VarId;
 
 namespace {
 
+/// Initial penalty = kPenaltyScale * (objective gradient scale) / (smallest
+/// step a flip takes on the constraint).
+constexpr double kPenaltyScale = 2.0;
+/// Factor on the weights of still-violated constraints per penalty round.
+constexpr double kPenaltyGrowth = 8.0;
+/// Ladder size of the tempered restart.
+constexpr std::size_t kTemperingReplicas = 6;
+/// Reported per solve() to mirror the constant QPU-access share that
+/// D-Wave's CQM logs show (~32 ms in the paper's Table V). Purely an
+/// accounting stand-in: no quantum hardware is involved.
+constexpr double kSimulatedQpuAccessMs = 32.0;
+
 /// Approximate largest single-flip objective change: used to scale penalties
 /// so that violating a constraint is never profitable at convergence.
 double objective_gradient_scale(const CqmModel& cqm) {
@@ -48,7 +60,7 @@ double objective_gradient_scale(const CqmModel& cqm) {
 
 /// Per-constraint base penalty: the weight applies per unit of violation, so
 /// normalize by the smallest step a single flip can take on that constraint.
-std::vector<double> initial_penalties(const CqmModel& cqm, double penalty_scale) {
+std::vector<double> initial_penalties(const CqmModel& cqm) {
   const double grad = objective_gradient_scale(cqm);
   std::vector<double> penalties;
   penalties.reserve(cqm.num_constraints());
@@ -59,7 +71,7 @@ std::vector<double> initial_penalties(const CqmModel& cqm, double penalty_scale)
       if (a > 0.0) min_step = (min_step == 0.0) ? a : std::min(min_step, a);
     }
     if (min_step == 0.0) min_step = 1.0;
-    penalties.push_back(penalty_scale * grad / min_step);
+    penalties.push_back(kPenaltyScale * grad / min_step);
   }
   return penalties;
 }
@@ -86,7 +98,9 @@ void record_violation_attribution(obs::Recorder& rec, const CqmModel& cqm,
   rec.annotate("violated_constraints", std::to_string(violated.size()));
   if (violated.empty()) return;
   const std::size_t keep = std::min(violated.size(), kMaxAttributed);
-  std::partial_sort(violated.begin(), violated.begin() + keep, violated.end(),
+  std::partial_sort(violated.begin(),
+                    violated.begin() + static_cast<std::ptrdiff_t>(keep),
+                    violated.end(),
                     [](const Violated& a, const Violated& b) {
                       return a.v > b.v;
                     });
@@ -143,7 +157,7 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
   HybridSolveResult result;
   result.stats.num_variables = cqm.num_variables();
   result.stats.num_constraints = cqm.num_constraints();
-  result.stats.simulated_qpu_ms = params_.simulated_qpu_access_ms;
+  result.stats.simulated_qpu_ms = kSimulatedQpuAccessMs;
 
   // Metrics handles are resolved once per solve (registration takes a
   // mutex); everything below the portfolio only touches lock-free counters.
@@ -280,8 +294,7 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     return result;
   }
 
-  const std::vector<double> base_penalties =
-      initial_penalties(cqm, params_.penalty_scale);
+  const std::vector<double> base_penalties = initial_penalties(cqm);
   const PairMoveIndex local_pairs = [&] {
     if (params_.reuse_pairs != nullptr) return PairMoveIndex{};
     obs::prof::PhaseScope pairs_phase("pair-index-build");
@@ -291,7 +304,12 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
   const PairMoveIndex& pair_index =
       params_.reuse_pairs != nullptr ? *params_.reuse_pairs : local_pairs;
 
-  // Is there a trivially feasible refinement seed?
+  // Is there a trivially feasible refinement seed? Then the first restart is
+  // a cold refinement of it (`initial_hint`, else the all-zeros point). On
+  // all-inequality models like Q_CQM1 this mirrors the classical-heuristic
+  // member of a hybrid portfolio; on models with equality constraints
+  // (Q_CQM2) the all-zeros point is infeasible and the member is skipped — a
+  // structural asymmetry the paper's results also exhibit.
   const bool have_hint = params_.initial_hint.size() == cqm.num_variables();
   bool zeros_feasible = false;
   {
@@ -299,8 +317,7 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     apply_fixings(zeros, pre);
     zeros_feasible = cqm.is_feasible(zeros);
   }
-  const bool refinement_available =
-      params_.use_refinement_start && (have_hint || zeros_feasible);
+  const bool refinement_available = have_hint || zeros_feasible;
 
   // Per-restart result slots: restarts run on any thread in any order, but
   // each writes only its own slot and the merge below walks slots in restart
@@ -357,17 +374,17 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     const CqmIncrementalState probe(cqm, s.state, penalties);
     for (std::size_t c = 0; c < probe.num_constraints(); ++c) {
       if (probe.constraint_violation(c) > 1e-9) {
-        penalties[c] *= params_.penalty_growth;
+        penalties[c] *= kPenaltyGrowth;
       }
     }
   };
 
-  // The last restart runs tempered when enabled (unless it is the only
-  // restart and the refinement member claims it); the rest are single
-  // CqmAnnealer chains.
+  // The last restart runs replica exchange (it helps on tight-k models),
+  // unless it is the only restart and the refinement member claims it; the
+  // rest are single CqmAnnealer chains.
   const std::size_t total_restarts = params_.num_restarts;
-  const bool tempered_last = params_.use_tempering && total_restarts > 0 &&
-                             !(total_restarts == 1 && refinement_available);
+  const bool tempered_last =
+      total_restarts > 0 && !(total_restarts == 1 && refinement_available);
   const std::size_t annealed_restarts = total_restarts - (tempered_last ? 1 : 0);
   result.stats.replica_lanes = 1;
 
@@ -406,17 +423,13 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     }
     obs::Recorder::Span restart_span(rec, "restart", "hybrid", track);
 
-    CqmAnnealParams ap;
-    ap.sweeps = params_.sweeps;
-    ap.refinement = refine;
-    ap.cancel = budget;
-    ap.recorder = rec;
-    ap.trace_track = track;
-    ap.sweep_counter = m_sweeps;
-    ap.flight = params_.flight;
-    ap.flight_name = f_anneal;
-    ap.flight_rid = params_.flight_rid;
-    const CqmAnnealer annealer(ap);
+    const SamplerSinks sinks{.cancel = budget,
+                             .recorder = rec,
+                             .trace_track = track,
+                             .sweep_counter = m_sweeps,
+                             .flight = params_.flight,
+                             .flight_name = tempered ? f_temper : f_anneal,
+                             .flight_rid = params_.flight_rid};
 
     Sample best_of_restart;
     bool have_sample = false;
@@ -426,21 +439,16 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
       ++rounds;
       Sample s;
       if (tempered) {
-        TemperingParams tp;
-        tp.num_replicas = params_.tempering_replicas;
-        tp.sweeps = params_.sweeps / 2 + 1;
-        tp.seed = rng.next_u64();
-        tp.cancel = budget;
-        tp.pool = pool;
-        tp.recorder = rec;
-        tp.trace_track = track;
-        tp.sweep_counter = m_sweeps;
-        tp.flight = params_.flight;
-        tp.flight_name = f_temper;
-        tp.flight_rid = params_.flight_rid;
+        const TemperingParams tp{.num_replicas = kTemperingReplicas,
+                                 .sweeps = params_.sweeps / 2 + 1,
+                                 .seed = rng.next_u64(),
+                                 .pool = pool,
+                                 .sinks = sinks};
         s = ParallelTempering(tp).run(cqm, penalties, init, &pair_index);
       } else {
-        s = annealer.anneal_once(cqm, penalties, rng, init, nullptr, &pair_index);
+        const CqmAnnealParams ap{
+            .sweeps = params_.sweeps, .refinement = refine, .sinks = sinks};
+        s = CqmAnnealer(ap).anneal_once(cqm, penalties, rng, init, &pair_index);
       }
       polish(s, penalties, rng, track);
       if (!have_sample || s.better_than(best_of_restart)) {
@@ -463,7 +471,7 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
                                   ? std::max(1u, std::thread::hardware_concurrency())
                                   : params_.threads;
   const std::size_t parallel_tasks =
-      annealed_restarts + (tempered_last ? params_.tempering_replicas : 0);
+      annealed_restarts + (tempered_last ? kTemperingReplicas : 0);
   if (threads <= 1 || parallel_tasks <= 1) {
     for (std::size_t r = 0; r < total_restarts; ++r) run_restart(r);
   } else {

@@ -21,19 +21,6 @@ struct HybridSolverParams {
   /// infeasible, weights on violated constraints are multiplied and the
   /// anneal resumes from the best state.
   std::size_t max_penalty_rounds = 4;
-  double penalty_growth = 8.0;
-  /// Initial penalty = penalty_scale * (objective gradient scale).
-  double penalty_scale = 2.0;
-  /// Use replica-exchange for one of the restarts (helps on tight-k models).
-  bool use_tempering = true;
-  /// Dedicate the first restart to cold refinement of a trivially feasible
-  /// point (the all-zeros assignment when feasible, or `initial_hint`). On
-  /// all-inequality models like Q_CQM1 this mirrors the classical-heuristic
-  /// member of a hybrid portfolio; on models with equality constraints
-  /// (Q_CQM2) the all-zeros point is infeasible and the member is skipped —
-  /// a structural asymmetry the paper's results also exhibit.
-  bool use_refinement_start = true;
-  std::size_t tempering_replicas = 6;
   /// Worker count; 0 = all hardware threads. The whole portfolio shares one
   /// pool of this many workers, which the calling thread joins while it
   /// waits: one task per restart, and one task per tempering replica per swap
@@ -67,10 +54,6 @@ struct HybridSolverParams {
   /// keeps them alive for the duration of the call.
   const model::PresolveResult* reuse_presolve = nullptr;
   const PairMoveIndex* reuse_pairs = nullptr;
-  /// Reported per solve() to mirror the constant QPU-access share that
-  /// D-Wave's CQM logs show (~32 ms in the paper's Table V). Purely an
-  /// accounting stand-in: no quantum hardware is involved.
-  double simulated_qpu_access_ms = 32.0;
   /// Optional trace sink: phase spans (presolve, pair-index build, each
   /// restart on its own track, polish, penalty adaptation) plus the
   /// samplers' incumbent timelines. The restart tracks are claimed from the

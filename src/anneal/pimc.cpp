@@ -14,6 +14,10 @@ using model::VarId;
 
 namespace {
 
+/// Transverse field at the start and at the end of the linear schedule.
+constexpr double kGammaInitial = 3.0;
+constexpr double kGammaFinal = 1e-3;
+
 /// Local fields h_i + sum_j J_ij s_j for one spin configuration, maintained
 /// incrementally: reading a candidate flip is O(1), committing one is
 /// O(deg). Field storage is borrowed from the caller, so all Trotter slices
@@ -105,9 +109,7 @@ Sample PimcAnnealer::sample_ising(const model::IsingModel& ising) const {
                          ? 1.0
                          : static_cast<double>(sweep) /
                                static_cast<double>(params_.sweeps - 1);
-    const double gamma =
-        params_.gamma_initial +
-        t * (params_.gamma_final - params_.gamma_initial);
+    const double gamma = kGammaInitial + t * (kGammaFinal - kGammaInitial);
     // Ferromagnetic inter-slice coupling strength; diverges as gamma -> 0,
     // freezing the slices together (the classical limit).
     const double arg = std::tanh(beta * gamma / Pd);

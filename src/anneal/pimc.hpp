@@ -16,8 +16,6 @@ struct PimcParams {
   std::size_t trotter_slices = 16;  ///< P
   std::size_t sweeps = 500;         ///< annealing steps (field schedule length)
   double beta = 4.0;                ///< inverse physical temperature
-  double gamma_initial = 3.0;       ///< transverse field at t = 0
-  double gamma_final = 1e-3;        ///< transverse field at t = 1
   std::uint64_t seed = 1;
   /// Polled once per field-schedule sweep; when expired the best slice seen
   /// so far is quenched and returned. Inert by default.
@@ -38,8 +36,9 @@ struct PimcParams {
 /// ferromagnetic coupling
 ///   J_perp(t) = -(P / (2 beta)) * ln tanh(beta * Gamma(t) / P),
 /// then sampled with local (single spin) and global (all-slice) moves while
-/// Gamma decays. This is the classical stand-in for the QPU stage of the
-/// hybrid pipeline (the repository has no quantum hardware access).
+/// Gamma decays linearly from 3 to 1e-3. This is the classical stand-in for
+/// the QPU stage of the hybrid pipeline (the repository has no quantum
+/// hardware access).
 class PimcAnnealer {
  public:
   explicit PimcAnnealer(PimcParams params = {}) : params_(params) {}

@@ -5,19 +5,10 @@
 #include <vector>
 
 #include "anneal/delta_cache.hpp"
+#include "anneal/schedule.hpp"
 #include "util/error.hpp"
 
 namespace qulrb::anneal {
-
-BetaSchedule SimulatedAnnealer::make_schedule(const model::QuboModel& qubo) const {
-  if (params_.beta_hot && params_.beta_cold) {
-    return BetaSchedule(*params_.beta_hot, *params_.beta_cold, params_.sweeps,
-                        params_.schedule);
-  }
-  const double scale = qubo.max_abs_coefficient();
-  return BetaSchedule::for_energy_scale(scale * 1e-3, scale * 2.0, params_.sweeps,
-                                        params_.schedule);
-}
 
 Sample SimulatedAnnealer::anneal_once(const model::QuboModel& qubo, util::Rng& rng,
                                       const model::State& initial) const {
@@ -34,7 +25,9 @@ Sample SimulatedAnnealer::anneal_once(const model::QuboModel& qubo, util::Rng& r
 
   if (n == 0) return {state, qubo.energy(state), 0.0, true};
 
-  const BetaSchedule schedule = make_schedule(qubo);
+  const double scale = qubo.max_abs_coefficient();
+  const BetaSchedule schedule =
+      BetaSchedule::for_energy_scale(scale * 1e-3, scale * 2.0, params_.sweeps);
   QuboDeltaCache cache(qubo, state);
   model::State best_state = state;
   double best_energy = cache.energy();

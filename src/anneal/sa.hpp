@@ -2,10 +2,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 
 #include "anneal/sampleset.hpp"
-#include "anneal/schedule.hpp"
 #include "model/qubo.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
@@ -17,10 +15,6 @@ namespace qulrb::anneal {
 struct SaParams {
   std::size_t sweeps = 1000;
   std::size_t num_reads = 8;  ///< independent restarts, one sample kept per read
-  ScheduleKind schedule = ScheduleKind::kGeometric;
-  /// Optional explicit beta range; unset derives it from the model scale.
-  std::optional<double> beta_hot;
-  std::optional<double> beta_cold;
   std::uint64_t seed = 1;
   /// Polled once per sweep (and between reads); when expired the best
   /// incumbent so far is returned. Inert by default.
@@ -34,7 +28,8 @@ struct SaParams {
 };
 
 /// Plain single-flip Metropolis simulated annealing over a QUBO, with O(deg)
-/// incremental energy updates. This is the workhorse behind both the QUBO
+/// incremental energy updates and a geometric schedule derived from the
+/// QUBO's largest coefficient. This is the workhorse behind both the QUBO
 /// path (ablations, penalty studies) and the test oracles.
 class SimulatedAnnealer {
  public:
@@ -49,8 +44,6 @@ class SimulatedAnnealer {
                      const model::State& initial = {}) const;
 
  private:
-  BetaSchedule make_schedule(const model::QuboModel& qubo) const;
-
   SaParams params_;
 };
 

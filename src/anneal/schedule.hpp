@@ -1,17 +1,13 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace qulrb::anneal {
 
-enum class ScheduleKind { kGeometric, kLinear };
-
-/// Inverse-temperature (beta) schedule for simulated annealing.
+/// Geometric inverse-temperature (beta) schedule for simulated annealing.
 class BetaSchedule {
  public:
-  BetaSchedule(double beta_hot, double beta_cold, std::size_t sweeps,
-               ScheduleKind kind = ScheduleKind::kGeometric);
+  BetaSchedule(double beta_hot, double beta_cold, std::size_t sweeps);
 
   /// Beta for sweep s in [0, sweeps).
   double at(std::size_t sweep) const noexcept;
@@ -24,14 +20,12 @@ class BetaSchedule {
   /// of size `max_delta` is accepted with ~50% probability; at beta_cold a
   /// move of size `min_delta` is accepted with probability ~exp(-10).
   static BetaSchedule for_energy_scale(double min_delta, double max_delta,
-                                       std::size_t sweeps,
-                                       ScheduleKind kind = ScheduleKind::kGeometric);
+                                       std::size_t sweeps);
 
  private:
   double beta_hot_;
   double beta_cold_;
   std::size_t sweeps_;
-  ScheduleKind kind_;
 };
 
 }  // namespace qulrb::anneal

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "anneal/cqm_anneal.hpp"
 #include "obs/phase.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -20,8 +19,8 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
                               const model::State& initial,
                               const PairMoveIndex* prebuilt_pairs) const {
   const std::size_t n = cqm.num_variables();
-  const double flight_start_us =
-      params_.flight != nullptr ? params_.flight->now_us() : 0.0;
+  const SamplerSinks& sinks = params_.sinks;
+  const double flight_start_us = sinks.flight_start_us();
   util::require(params_.num_replicas >= 2, "ParallelTempering: need >= 2 replicas");
   util::require(params_.swap_interval >= 1,
                 "ParallelTempering: swap_interval must be >= 1");
@@ -56,27 +55,20 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
   std::vector<std::size_t> perm(params_.num_replicas);
   std::iota(perm.begin(), perm.end(), std::size_t{0});
 
-  // Beta ladder (geometric between hot and cold).
-  double beta_hot = params_.beta_hot;
-  double beta_cold = params_.beta_cold;
-  if (beta_hot <= 0.0 || beta_cold <= 0.0) {
-    double max_abs = 1e-9;
-    if (n > 0) {
-      const std::size_t probes = std::min<std::size_t>(n, 256);
-      for (std::size_t p = 0; p < probes; ++p) {
-        const auto v = static_cast<VarId>(rngs[0].next_below(n));
-        max_abs = std::max(max_abs, std::abs(walkers[perm[0]].flip_delta(v)));
-      }
-    }
-    beta_hot = std::log(2.0) / max_abs;
-    beta_cold = 1e4 / max_abs;
+  // Beta ladder, geometric between a hot end that accepts the largest probed
+  // move with probability 1/2 and a cold end 1e4 / that move.
+  double max_abs = 1e-9;
+  const std::size_t probes = std::min<std::size_t>(n, 256);
+  for (std::size_t p = 0; p < probes; ++p) {
+    const auto v = static_cast<VarId>(rngs[0].next_below(n));
+    max_abs = std::max(max_abs, std::abs(walkers[perm[0]].flip_delta(v)));
   }
+  const double beta_hot = std::log(2.0) / max_abs;
+  const double beta_cold = 1e4 / max_abs;
   std::vector<double> betas(params_.num_replicas);
   for (std::size_t r = 0; r < params_.num_replicas; ++r) {
-    const double t = params_.num_replicas == 1
-                         ? 1.0
-                         : static_cast<double>(r) /
-                               static_cast<double>(params_.num_replicas - 1);
+    const double t = static_cast<double>(r) /
+                     static_cast<double>(params_.num_replicas - 1);
     betas[r] = beta_hot * std::pow(beta_cold / beta_hot, t);
   }
 
@@ -91,8 +83,8 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
 
   if (n == 0) return best;
 
-  obs::Recorder::Span run_span(params_.recorder, "tempering", "sampler",
-                               params_.trace_track);
+  obs::Recorder::Span run_span(sinks.recorder, "tempering", "sampler",
+                               sinks.trace_track);
   const std::size_t sample_every = std::max<std::size_t>(1, params_.sweeps / 64);
 
   // One ladder position's walk over sweeps [s0, s1): every sample that beat
@@ -108,7 +100,7 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
   auto walk_interval = [&](std::size_t r) {
     // May run on a pool worker; the scopes must live here for profiler
     // samples of this walk to attribute.
-    obs::prof::RidScope rid_scope(params_.flight_rid);
+    obs::prof::RidScope rid_scope(sinks.flight_rid);
     obs::prof::PhaseScope restart_phase("restart");
     IntervalWalk& out = walks[r];
     out.improvements.clear();
@@ -120,18 +112,8 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
     const double beta = betas[r];
     Sample running{{}, best.energy, best.violation, best.feasible};
     for (std::size_t sweep = s0; sweep < s1; ++sweep) {
-      if (params_.cancel.expired()) break;
-      for (std::size_t step = 0; step < n; ++step) {
-        if (!pairs.empty() && rng.next_bool(0.5)) {
-          pairs.attempt(walk, rng, beta);
-          continue;
-        }
-        const auto v = static_cast<VarId>(rng.next_below(n));
-        const double delta = walk.flip_delta(v);
-        if (delta <= 0.0 || rng.next_double() < std::exp(-beta * delta)) {
-          walk.apply_flip(v);
-        }
-      }
+      if (sinks.cancel.expired()) break;
+      metropolis_sweep(walk, pairs, rng, beta, false);
       Sample current{{}, walk.objective(), walk.total_violation(),
                      walk.feasible()};
       if (current.better_than(running)) {
@@ -147,7 +129,7 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
   std::size_t sweeps_done = 0;
   std::vector<std::size_t> cursor(params_.num_replicas);
   for (; s0 < params_.sweeps; s0 = s1) {
-    if (params_.cancel.expired()) break;
+    if (sinks.cancel.expired()) break;
     s1 = std::min(params_.sweeps, s0 + params_.swap_interval);
     if (params_.pool != nullptr) {
       params_.pool->parallel_for(walks.size(), walk_interval);
@@ -175,10 +157,10 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
           if (candidate.better_than(best)) best = std::move(candidate);
         }
       }
-      if (params_.recorder != nullptr &&
+      if (sinks.recorder != nullptr &&
           (sweep % sample_every == 0 || sweep + 1 == params_.sweeps)) {
-        params_.recorder->sample("incumbent_energy", params_.trace_track,
-                                 best.energy + best.violation);
+        sinks.recorder->sample("incumbent_energy", sinks.trace_track,
+                               best.energy + best.violation);
       }
     }
     sweeps_done += swept;
@@ -196,16 +178,7 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
       }
     }
   }
-  if (params_.sweep_counter != nullptr && sweeps_done > 0) {
-    params_.sweep_counter->inc(sweeps_done);
-  }
-  if (params_.flight != nullptr) {
-    const double end_us = params_.flight->now_us();
-    params_.flight->record(params_.flight_name, obs::FlightKind::kSpan,
-                           params_.trace_track, params_.flight_rid, end_us,
-                           end_us - flight_start_us,
-                           static_cast<double>(sweeps_done));
-  }
+  sinks.finish(flight_start_us, sweeps_done);
   return best;
 }
 

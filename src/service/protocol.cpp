@@ -55,6 +55,10 @@ ProtocolRequest parse_request_line(const std::string& line) {
   const JsonValue* counts = doc.find("counts");
   util::require(loads != nullptr && counts != nullptr,
                 "solve needs 'loads' and 'counts' arrays");
+  util::require(loads->as_array().size() <= kMaxProcesses &&
+                    counts->as_array().size() <= kMaxProcesses,
+                "'loads' and 'counts' may list at most " +
+                    std::to_string(kMaxProcesses) + " processes");
   for (const JsonValue& v : loads->as_array()) {
     out.request.task_loads.push_back(v.as_number());
   }

@@ -76,9 +76,18 @@ struct ProtocolRequest {
 /// annealer chain, so an unbounded count lets one line exhaust server memory.
 inline constexpr std::int64_t kMaxRestarts = 1024;
 
+/// Largest process count M ("loads"/"counts" length) a solve request may
+/// carry. The CQM has O(M^2 log n) variables, so an unbounded M lets one
+/// short line exhaust server memory: at M = 128 and the largest count a line
+/// can carry (~2^63), model build, presolve and pair index peak near 280 MB;
+/// at M = 256 near 1.1 GB. Twice the largest M of any paper figure (Fig. 4's
+/// 64).
+inline constexpr std::size_t kMaxProcesses = 128;
+
 /// Parse one request line; throws util::InvalidArgument with a message fit
 /// for an {"error":...} reply on malformed input, including a solve whose
-/// "sweeps" is below 1 or whose "restarts" is outside [1, kMaxRestarts].
+/// "sweeps" is below 1, whose "restarts" is outside [1, kMaxRestarts], or
+/// whose "loads" or "counts" has more than kMaxProcesses entries.
 ProtocolRequest parse_request_line(const std::string& line);
 
 /// Canonical wire form of a solve request (no trailing newline): exactly the

@@ -277,8 +277,9 @@ void RebalanceService::run_one() {
   if (item.token.cancel_requested()) {
     response.outcome = RequestOutcome::kCancelled;
     response.total_ms = item.queued.elapsed_ms();
-  } else if (params_.shed_expired && item.deadline_ms > 0.0 &&
-             response.queue_ms > item.deadline_ms) {
+  } else if (item.deadline_ms > 0.0 && response.queue_ms > item.deadline_ms) {
+    // A late answer to a rebalancing question is worthless: the load
+    // snapshot has moved on, so the request is shed instead of solved.
     response.outcome = RequestOutcome::kShed;
     response.error = "deadline passed while queued";
     response.total_ms = item.queued.elapsed_ms();

@@ -41,10 +41,6 @@ struct ServiceParams {
   /// already exceeds its deadline. Saves the queue slot for work that can
   /// still make it.
   bool admission_deadline_check = true;
-  /// Drop (shed) dequeued requests whose deadline has already passed instead
-  /// of solving them — a late answer to a rebalancing question is worthless,
-  /// the load snapshot has moved on.
-  bool shed_expired = true;
   /// Deadline applied when a request carries none. 0 = none.
   double default_deadline_ms = 0.0;
   /// Sessions kept across requests (LRU). 0 disables caching.

@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <string>
 
+#include "anneal/cqm_anneal.hpp"
 #include "anneal/sa.hpp"
+#include "anneal/tempering.hpp"
 #include "lrp/cqm_builder.hpp"
 #include "lrp/kselect.hpp"
 #include "lrp/quantum_solver.hpp"
@@ -93,6 +95,67 @@ TEST(BehaviourDigest, SimulatedAnnealerSampleSet) {
     h.add(std::bit_cast<std::uint64_t>(set.at(r).energy));
   }
   EXPECT_EQ(h.hex(), "79da1f85cfc6469d");
+}
+
+// The two CQM samplers run standalone on the penalty CQM (Q_CQM1, k1) of the
+// M=8, n=50 Table II instance, uniform penalty 2, prebuilt pair index, no
+// recorder, no deadline. Each digest covers the returned state bits and the
+// bit patterns of its energy and violation. Recorded while the annealer and
+// tempering still had separate step loops, so they pin that the one sweep
+// kernel draws and accepts exactly as both did.
+struct StandaloneModel {
+  lrp::LrpProblem problem = workloads::scenarios::imbalance_levels()[4].problem;
+  lrp::LrpCqm lrp{problem, lrp::CqmVariant::kReduced, lrp::select_k(problem).k1};
+  const model::CqmModel& cqm = lrp.cqm();
+  anneal::PairMoveIndex pairs = anneal::PairMoveIndex::build(cqm);
+  std::vector<double> penalties = std::vector<double>(cqm.num_constraints(), 2.0);
+};
+
+std::string sample_digest(const anneal::Sample& s) {
+  Fnv1a h;
+  for (const std::uint8_t bit : s.state) h.add(bit);
+  h.add(std::bit_cast<std::uint64_t>(s.energy));
+  h.add(std::bit_cast<std::uint64_t>(s.violation));
+  h.add(s.feasible ? 1U : 0U);
+  return h.hex();
+}
+
+// CqmAnnealer::anneal_once from a random state: 60 sweeps, seed 11.
+TEST(BehaviourDigest, CqmAnnealerAnnealOnce) {
+  const StandaloneModel m;
+  anneal::CqmAnnealParams params;
+  params.sweeps = 60;
+  util::Rng rng(11);
+  const anneal::Sample s = anneal::CqmAnnealer(params).anneal_once(
+      m.cqm, m.penalties, rng, {}, &m.pairs);
+  EXPECT_EQ(sample_digest(s), "26e036c53285cd43");
+}
+
+// CqmAnnealer::anneal_once in refinement mode from the no-migration point:
+// 60 sweeps, seed 13.
+TEST(BehaviourDigest, CqmAnnealerRefinement) {
+  const StandaloneModel m;
+  anneal::CqmAnnealParams params;
+  params.sweeps = 60;
+  params.refinement = true;
+  util::Rng rng(13);
+  const anneal::Sample s = anneal::CqmAnnealer(params).anneal_once(
+      m.cqm, m.penalties, rng, model::State(m.cqm.num_variables(), 0), &m.pairs);
+  EXPECT_EQ(sample_digest(s), "d4b630268934a46c");
+}
+
+// ParallelTempering::run from random states: 4 replicas, 30 sweeps, swap
+// interval 5, seed 17.
+TEST(BehaviourDigest, ParallelTemperingRun) {
+  const StandaloneModel m;
+  anneal::TemperingParams params;
+  params.num_replicas = 4;
+  params.sweeps = 30;
+  params.swap_interval = 5;
+  params.seed = 17;
+  const anneal::Sample s =
+      anneal::ParallelTempering(params).run(m.cqm, m.penalties, {}, &m.pairs);
+  EXPECT_EQ(sample_digest(s), "611a7c39224f0806");
 }
 
 }  // namespace

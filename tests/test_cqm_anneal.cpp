@@ -212,6 +212,24 @@ TEST(CqmAnnealer, BestSeenIsReturnedNotFinal) {
   EXPECT_NEAR(s.violation, m.total_violation(s.state), 1e-8);
 }
 
+TEST(CqmAnnealer, EndsFeasibleFromRandomStart) {
+  // min sum x s.t. sum x >= 2 over 6 variables: the penalty anneal from a
+  // random state (refinement off) must end on a feasible incumbent.
+  CqmModel m;
+  for (int i = 0; i < 6; ++i) m.add_variable();
+  for (VarId v = 0; v < 6; ++v) m.add_objective_linear(v, 1.0);
+  LinearExpr sum;
+  for (VarId v = 0; v < 6; ++v) sum.add_term(v, 1.0);
+  m.add_constraint(std::move(sum), Sense::GE, 2.0);
+
+  CqmAnnealParams params;
+  params.sweeps = 50;
+  util::Rng rng(3);
+  const Sample s = CqmAnnealer(params).anneal_once(
+      m, std::vector<double>(m.num_constraints(), 20.0), rng);
+  EXPECT_TRUE(s.feasible);
+}
+
 TEST(CqmAnnealer, RefinementModeKeepsFeasibility) {
   // Start feasible; refinement mode must never leave the feasible region.
   CqmModel m;
@@ -299,18 +317,14 @@ Sample reference_tempering(const model::CqmModel& cqm,
     walkers.emplace_back(cqm, std::move(start), penalties);
   }
 
-  double beta_hot = params.beta_hot;
-  double beta_cold = params.beta_cold;
-  if (beta_hot <= 0.0 || beta_cold <= 0.0) {
-    double max_abs = 1e-9;
-    const std::size_t probes = std::min<std::size_t>(n, 256);
-    for (std::size_t p = 0; p < probes; ++p) {
-      const auto v = static_cast<model::VarId>(rngs[0].next_below(n));
-      max_abs = std::max(max_abs, std::abs(walkers[0].flip_delta(v)));
-    }
-    beta_hot = std::log(2.0) / max_abs;
-    beta_cold = 1e4 / max_abs;
+  double max_abs = 1e-9;
+  const std::size_t probes = std::min<std::size_t>(n, 256);
+  for (std::size_t p = 0; p < probes; ++p) {
+    const auto v = static_cast<model::VarId>(rngs[0].next_below(n));
+    max_abs = std::max(max_abs, std::abs(walkers[0].flip_delta(v)));
   }
+  const double beta_hot = std::log(2.0) / max_abs;
+  const double beta_cold = 1e4 / max_abs;
   std::vector<double> betas(params.num_replicas);
   for (std::size_t r = 0; r < params.num_replicas; ++r) {
     const double t = static_cast<double>(r) /
@@ -387,7 +401,7 @@ TEST(ParallelTempering, DeterministicAndCountsRounds) {
   params.sweeps = 20;
   params.swap_interval = 5;
   params.seed = 77;
-  params.sweep_counter = &reg.counter("rounds");
+  params.sinks.sweep_counter = &reg.counter("rounds");
 
   const Sample a = ParallelTempering(params).run(cqm, penalties, {}, &pairs);
   EXPECT_EQ(reg.counter("rounds").value(), 20u);
@@ -439,7 +453,7 @@ TEST(ParallelTempering, PoolOfAnySizeMatchesReference) {
       return values;
     };
     obs::Recorder inline_recorder("inline");
-    params.recorder = &inline_recorder;
+    params.sinks.recorder = &inline_recorder;
     expect_sample_eq(ParallelTempering(params).run(cqm, penalties, {}, &pairs),
                      expected);
     const std::vector<double> inline_trace = incumbent_trace(inline_recorder);
@@ -450,11 +464,11 @@ TEST(ParallelTempering, PoolOfAnySizeMatchesReference) {
       util::ThreadPool pool(workers);
       obs::Recorder recorder("pool");
       params.pool = &pool;
-      params.recorder = &recorder;
+      params.sinks.recorder = &recorder;
       expect_sample_eq(ParallelTempering(params).run(cqm, penalties, {}, &pairs),
                        expected);
       EXPECT_EQ(incumbent_trace(recorder), inline_trace);
-      params.recorder = nullptr;
+      params.sinks.recorder = nullptr;
       expect_sample_eq(ParallelTempering(params).run(cqm, penalties, {}, &pairs),
                        expected);
       params.pool = nullptr;

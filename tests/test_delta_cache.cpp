@@ -245,8 +245,7 @@ TEST(CqmAnnealerDeterminism, SharedPairIndexMatchesPrivateBuild) {
   util::Rng rng_a(77);
   const Sample a = CqmAnnealer(ap).anneal_once(built.cqm(), pen, rng_a);
   util::Rng rng_b(77);
-  const Sample b =
-      CqmAnnealer(ap).anneal_once(built.cqm(), pen, rng_b, {}, nullptr, &shared);
+  const Sample b = CqmAnnealer(ap).anneal_once(built.cqm(), pen, rng_b, {}, &shared);
 
   EXPECT_EQ(a.state, b.state);
   EXPECT_EQ(a.energy, b.energy);

@@ -169,7 +169,6 @@ TEST(Hybrid, FreshModelThreadedTemperingSolve) {
   p.sweeps = 20;
   p.max_penalty_rounds = 1;
   p.threads = 4;
-  p.use_tempering = true;
   p.exhaustive_max_vars = 0;
   const HybridSolveResult r = HybridCqmSolver(p).solve(lrp_cqm.cqm());
   EXPECT_EQ(r.stats.restarts_used, 3u);
@@ -182,7 +181,6 @@ TEST(Hybrid, TimeLimitedThreadedTemperingKeepsIncumbent) {
   p.num_restarts = 2;
   p.sweeps = 500'000;  // far beyond the budget on purpose
   p.threads = 4;
-  p.use_tempering = true;
   p.exhaustive_max_vars = 0;
   p.time_limit_ms = 50.0;
   util::WallTimer timer;

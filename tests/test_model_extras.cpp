@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "anneal/cqm_anneal.hpp"
 #include "classical/exact.hpp"
 #include "classical/greedy.hpp"
 #include "classical/rnp.hpp"
@@ -125,52 +124,6 @@ TEST(LpFormat, AnonymousVariablesAndConstraintsGetNames) {
   const std::string lp = model::to_lp_string(m);
   EXPECT_NE(lp.find("v0"), std::string::npos);
   EXPECT_NE(lp.find("c0:"), std::string::npos);
-}
-
-// ---------------------------------------------------------- anneal trace ---
-
-TEST(AnnealTrace, RecordsPerSweepData) {
-  model::CqmModel m;
-  for (int i = 0; i < 6; ++i) m.add_variable();
-  for (model::VarId v = 0; v < 6; ++v) m.add_objective_linear(v, 1.0);
-  model::LinearExpr sum;
-  for (model::VarId v = 0; v < 6; ++v) sum.add_term(v, 1.0);
-  m.add_constraint(std::move(sum), model::Sense::GE, 2.0);
-
-  anneal::CqmAnnealParams params;
-  params.sweeps = 50;
-  util::Rng rng(3);
-  anneal::AnnealTrace trace;
-  const anneal::Sample s = anneal::CqmAnnealer(params).anneal_once(
-      m, std::vector<double>(m.num_constraints(), 20.0), rng, {}, &trace);
-
-  EXPECT_EQ(trace.best_energy_per_sweep.size(), 50u);
-  EXPECT_EQ(trace.violation_per_sweep.size(), 50u);
-  EXPECT_GT(trace.flip_attempts, 0u);
-  EXPECT_GT(trace.flip_accepts, 0u);
-  EXPECT_LE(trace.flip_accepts, trace.flip_attempts);
-  EXPECT_GE(trace.flip_acceptance(), 0.0);
-  EXPECT_LE(trace.flip_acceptance(), 1.0);
-
-  // The incumbent track is monotone non-increasing.
-  for (std::size_t i = 1; i < trace.best_energy_per_sweep.size(); ++i) {
-    EXPECT_LE(trace.best_energy_per_sweep[i], trace.best_energy_per_sweep[i - 1] + 1e-9);
-  }
-  // The final incumbent matches the returned sample (objective + violations
-  // are both zero-penalty at the optimum here).
-  EXPECT_TRUE(s.feasible);
-}
-
-TEST(AnnealTrace, NullTraceIsNoOverheadPath) {
-  model::CqmModel m;
-  m.add_variable();
-  m.add_objective_linear(0, -1.0);
-  anneal::CqmAnnealParams params;
-  params.sweeps = 10;
-  util::Rng rng(1);
-  const anneal::Sample s = anneal::CqmAnnealer(params).anneal_once(
-      m, std::vector<double>{}, rng);
-  EXPECT_DOUBLE_EQ(s.energy, -1.0);
 }
 
 }  // namespace

@@ -164,6 +164,21 @@ TEST(Protocol, RejectsOutOfRangeRestartsAndSweeps) {
   EXPECT_EQ(solve(R"("restarts":)" + std::to_string(kMaxRestarts))
                 .request.hybrid.num_restarts,
             static_cast<std::size_t>(kMaxRestarts));
+
+  // Process count M: "loads"/"counts" longer than kMaxProcesses are refused
+  // before any vector is filled; exactly kMaxProcesses parses.
+  const auto processes = [](std::size_t m) {
+    std::string loads;
+    std::string counts;
+    for (std::size_t j = 0; j < m; ++j) {
+      loads += (j == 0 ? "" : ",") + std::string("2");
+      counts += (j == 0 ? "" : ",") + std::string("4");
+    }
+    return parse_request_line(R"({"loads":[)" + loads + R"(],"counts":[)" +
+                              counts + "]}");
+  };
+  EXPECT_THROW(processes(kMaxProcesses + 1), util::InvalidArgument);
+  EXPECT_EQ(processes(kMaxProcesses).request.task_loads.size(), kMaxProcesses);
 }
 
 // ------------------------------------------------------------- encode -----

@@ -43,13 +43,6 @@ TEST(BetaSchedule, MonotoneGeometric) {
   EXPECT_NEAR(s.at(99), 10.0, 1e-9);
 }
 
-TEST(BetaSchedule, LinearEndpoints) {
-  BetaSchedule s(1.0, 5.0, 5, ScheduleKind::kLinear);
-  EXPECT_DOUBLE_EQ(s.at(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.at(4), 5.0);
-  EXPECT_DOUBLE_EQ(s.at(2), 3.0);
-}
-
 TEST(BetaSchedule, SingleSweepIsCold) {
   BetaSchedule s(1.0, 9.0, 1);
   EXPECT_DOUBLE_EQ(s.at(0), 9.0);
