@@ -1,13 +1,13 @@
 // Robustness study beyond the paper's palette: Pareto (heavy-tailed)
 // per-process loads, the pathological shape adaptive codes produce when a
 // few partitions concentrate almost all cost. Sweeps the tail exponent and
-// compares every method's balance and migration volume, with a distribution
-// snapshot of the worst case.
+// compares every method's balance and migration volume, with a five-number
+// summary of the worst case's loads.
 
 #include <iostream>
 
 #include "common.hpp"
-#include "util/histogram.hpp"
+#include "util/stats.hpp"
 #include "workloads/mxm.hpp"
 
 int main() {
@@ -30,12 +30,16 @@ int main() {
   std::cout << "\n--- migrated tasks ---\n";
   bench::make_migration_table(results).print(std::cout);
 
-  // Distribution snapshot of the hardest instance.
+  // Five-number summary of the hardest instance's per-process loads.
   const lrp::LrpProblem worst = workloads::make_heavy_tail_problem(16, 64, 1.0, 2024);
   std::vector<double> loads(worst.num_processes());
   for (std::size_t i = 0; i < worst.num_processes(); ++i) loads[i] = worst.load(i);
-  std::cout << "\nPer-process load distribution at alpha = 1.0:\n";
-  util::Histogram::from_data(loads, 8).print(std::cout, 30);
+  std::cout << "\nPer-process load at alpha = 1.0 (min / q1 / median / q3 / max):";
+  for (const double q : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+    std::cout << (q == 0.0 ? " " : " / ")
+              << util::Table::num(util::quantile(loads, q), 1);
+  }
+  std::cout << "\n";
 
   std::cout << "\nThe paper's shapes persist under heavy tails: Q_*_k1 track "
                "ProactLB's minimal\nmigrations; the capacity-bounded CQM stays "

@@ -92,11 +92,6 @@ void QuboModel::merge_pending() const {
 
 void QuboModel::ensure_finalized() const { merge_pending(); }
 
-std::size_t QuboModel::num_interactions() const {
-  ensure_finalized();
-  return terms_.size();
-}
-
 double QuboModel::quadratic(VarId i, VarId j) const {
   if (i == j) return 0.0;
   if (i > j) std::swap(i, j);

@@ -27,7 +27,6 @@ class QuboModel {
   explicit QuboModel(std::size_t num_variables = 0);
 
   std::size_t num_variables() const noexcept { return linear_.size(); }
-  std::size_t num_interactions() const;
 
   void add_variable();  ///< appends one variable with zero bias
 

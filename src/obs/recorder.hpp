@@ -43,7 +43,7 @@ struct TraceSample {
 /// One Recorder is the whole trace handle of a request: the service (or the
 /// CLI) constructs it with the request id, and every layer the request
 /// touches — service queue, session cache, the hybrid solver's restart
-/// pool, the simulated or live MPI ranks — takes the same `Recorder*`, so
+/// pool, the simulated BSP ranks — takes the same `Recorder*`, so
 /// one Perfetto document shows the request end to end. Layers that need
 /// rows of their own claim them with claim_tracks(), which keeps solver
 /// restart rows and BSP rank rows from colliding in one document.

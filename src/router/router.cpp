@@ -234,7 +234,7 @@ bool Router::handle_client_line(std::uint64_t session_id,
   try {
     parsed = service::parse_request_line(line);
   } catch (const std::exception& e) {
-    deliver_to(session, service::encode_error(e.what(), 0));
+    deliver_to(session, service::encode_parse_error(e));
     return true;
   }
   switch (parsed.op) {

@@ -11,11 +11,18 @@ namespace qulrb::service {
 using io::JsonValue;
 using io::JsonWriter;
 
-ProtocolRequest parse_request_line(const std::string& line) {
-  const JsonValue doc = JsonValue::parse(line);
-  util::require(doc.is_object(), "request must be a JSON object");
+namespace {
 
-  ProtocolRequest out;
+// A validation error of a request object, carrying its "id" for the reply.
+class RequestError : public util::InvalidArgument {
+ public:
+  RequestError(const std::string& message, std::uint64_t id)
+      : util::InvalidArgument(message), client_id(id) {}
+  std::uint64_t client_id;
+};
+
+// Fills every field of `out` but client_id from the request object `doc`.
+void parse_request_fields(const JsonValue& doc, ProtocolRequest& out) {
   const std::string op = doc.string_or("op", "solve");
   if (op == "cancel") {
     out.op = OpKind::kCancel;
@@ -48,8 +55,7 @@ ProtocolRequest parse_request_line(const std::string& line) {
   } else {
     throw util::InvalidArgument("unknown op '" + op + "'");
   }
-  out.client_id = static_cast<std::uint64_t>(doc.int_or("id", 0));
-  if (out.op != OpKind::kSolve) return out;
+  if (out.op != OpKind::kSolve) return;
 
   const JsonValue* loads = doc.find("loads");
   const JsonValue* counts = doc.find("counts");
@@ -110,6 +116,22 @@ ProtocolRequest parse_request_line(const std::string& line) {
   out.request.router_ms = doc.number_or("router_ms", 0.0);
 
   out.include_plan = doc.bool_or("plan", false);
+}
+
+}  // namespace
+
+ProtocolRequest parse_request_line(const std::string& line) {
+  const JsonValue doc = JsonValue::parse(line);
+  util::require(doc.is_object(), "request must be a JSON object");
+
+  ProtocolRequest out;
+  // Read before the op dispatch, so that every error after it can echo the id.
+  out.client_id = static_cast<std::uint64_t>(doc.int_or("id", 0));
+  try {
+    parse_request_fields(doc, out);
+  } catch (const util::InvalidArgument& e) {
+    throw RequestError(e.what(), out.client_id);
+  }
   return out;
 }
 
@@ -368,6 +390,12 @@ std::string encode_error(const std::string& message, std::uint64_t client_id) {
   w.field("id", static_cast<std::int64_t>(client_id));
   w.end_object();
   return w.str();
+}
+
+std::string encode_parse_error(const std::exception& e) {
+  const auto* request_error = dynamic_cast<const RequestError*>(&e);
+  return encode_error(e.what(),
+                      request_error != nullptr ? request_error->client_id : 0);
 }
 
 }  // namespace qulrb::service

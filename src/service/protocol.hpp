@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -148,5 +149,11 @@ std::string encode_profile_response(std::uint64_t client_id,
                                     const std::string& profile_json);
 
 std::string encode_error(const std::string& message, std::uint64_t client_id);
+
+/// The {"error":...} reply for an exception parse_request_line threw. Once
+/// the line parsed as an object with an integer "id", the reply echoes that
+/// id, so a client that pipelines requests can tell which one failed; else
+/// the reply's id is 0.
+std::string encode_parse_error(const std::exception& e);
 
 }  // namespace qulrb::service

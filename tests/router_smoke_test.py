@@ -91,6 +91,23 @@ def main():
         assert doc["id"] == 5, doc
         assert doc["outcome"] == "ok", doc
 
+        # Error replies keep the request's id: a line that parses but fails
+        # validation, then a good solve, over one router connection.
+        s = connect(front)
+        s.sendall(
+            b'{"op":"solve","id":7,"loads":[10,2],"counts":[8,8],"restarts":0}\n'
+            + (SOLVE % 8).encode()
+        )
+        lines = s.makefile("rb")
+        replies = {}
+        for _ in range(2):
+            doc = json.loads(lines.readline())
+            replies[doc["id"]] = doc
+        s.close()
+        assert sorted(replies) == [7, 8], replies
+        assert "error" in replies[7], replies
+        assert replies[8]["outcome"] == "ok", replies
+
         # Fleet stats: router role, per-backend splice.
         stats = ask(front, '{"op":"stats"}\n')["stats"]
         assert stats["role"] == "router", stats

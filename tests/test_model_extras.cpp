@@ -1,11 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "classical/exact.hpp"
 #include "classical/greedy.hpp"
 #include "classical/rnp.hpp"
-#include "model/lp_format.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -66,64 +63,6 @@ TEST(Rnp, EmptyInput) {
   const auto r = classical::rnp_partition({}, 4);
   EXPECT_TRUE(r.is_valid(0));
   EXPECT_DOUBLE_EQ(r.makespan(), 0.0);
-}
-
-// ------------------------------------------------------------ lp format ----
-
-model::CqmModel lp_model() {
-  model::CqmModel m;
-  m.add_variable("a");
-  m.add_variable("b");
-  m.add_objective_linear(0, 2.0);
-  m.add_objective_linear(1, -1.0);
-  model::LinearExpr g(-3.0);
-  g.add_term(0, 1.0);
-  g.add_term(1, 1.0);
-  m.add_squared_group(std::move(g), 1.0);
-  model::LinearExpr cap;
-  cap.add_term(0, 1.0);
-  cap.add_term(1, 1.0);
-  m.add_constraint(std::move(cap), model::Sense::LE, 2.0, "capacity");
-  return m;
-}
-
-TEST(LpFormat, ContainsAllSections) {
-  const std::string lp = model::to_lp_string(lp_model());
-  EXPECT_NE(lp.find("Minimize"), std::string::npos);
-  EXPECT_NE(lp.find("Subject To"), std::string::npos);
-  EXPECT_NE(lp.find("Binary"), std::string::npos);
-  EXPECT_NE(lp.find("End"), std::string::npos);
-}
-
-TEST(LpFormat, UsesVariableNamesAndLabels) {
-  const std::string lp = model::to_lp_string(lp_model());
-  EXPECT_NE(lp.find("capacity:"), std::string::npos);
-  EXPECT_NE(lp.find(" a "), std::string::npos);
-  EXPECT_NE(lp.find("<= 2"), std::string::npos);
-}
-
-TEST(LpFormat, SquaredGroupRendered) {
-  const std::string lp = model::to_lp_string(lp_model());
-  EXPECT_NE(lp.find("]^2"), std::string::npos);
-  EXPECT_NE(lp.find("[ "), std::string::npos);
-}
-
-TEST(LpFormat, EmptyObjectiveRendersZero) {
-  model::CqmModel m;
-  m.add_variable("x");
-  const std::string lp = model::to_lp_string(m);
-  EXPECT_NE(lp.find("obj: 0"), std::string::npos);
-}
-
-TEST(LpFormat, AnonymousVariablesAndConstraintsGetNames) {
-  model::CqmModel m;
-  m.add_variable();  // unnamed
-  model::LinearExpr lhs;
-  lhs.add_term(0, 1.0);
-  m.add_constraint(std::move(lhs), model::Sense::GE, 1.0);  // unlabeled
-  const std::string lp = model::to_lp_string(m);
-  EXPECT_NE(lp.find("v0"), std::string::npos);
-  EXPECT_NE(lp.find("c0:"), std::string::npos);
 }
 
 }  // namespace

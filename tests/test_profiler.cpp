@@ -144,7 +144,9 @@ TEST(Profiler, SamplesCarryPhaseAndRidAttribution) {
   ASSERT_FALSE(samples.empty());
   std::size_t attributed = 0;
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    if (i > 0) EXPECT_GE(samples[i].t_us, samples[i - 1].t_us);
+    if (i > 0) {
+      EXPECT_GE(samples[i].t_us, samples[i - 1].t_us);
+    }
     if (samples[i].rid == 42 && samples[i].phase != nullptr &&
         std::strcmp(samples[i].phase, "test-burn") == 0) {
       ++attributed;

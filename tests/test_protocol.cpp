@@ -144,6 +144,27 @@ TEST(Protocol, RejectsMalformedRequests) {
   // non-integer count
   EXPECT_THROW(parse_request_line(R"({"loads":[1,2],"counts":[4.5,4]})"),
                util::InvalidArgument);
+
+  // The id of the error reply: the line's own once the line is an object
+  // with an integer "id", else 0.
+  const auto rejected_id = [](const std::string& line) -> std::int64_t {
+    try {
+      parse_request_line(line);
+    } catch (const std::exception& e) {
+      return JsonValue::parse(encode_parse_error(e)).int_or("id", -1);
+    }
+    ADD_FAILURE() << "accepted: " << line;
+    return -1;
+  };
+  EXPECT_EQ(rejected_id("not json"), 0);
+  EXPECT_EQ(rejected_id("[1,2]"), 0);
+  EXPECT_EQ(rejected_id(R"({"op":"fly"})"), 0);
+  EXPECT_EQ(rejected_id(R"({"op":"fly","id":3})"), 3);
+  EXPECT_EQ(rejected_id(R"({"op":"solve","id":1})"), 1);
+  EXPECT_EQ(rejected_id(R"({"id":4,"loads":[1,2],"counts":[4,4],"variant":"qubo"})"), 4);
+  EXPECT_EQ(rejected_id(R"({"id":5,"loads":[1,2],"counts":[4.5,4]})"), 5);
+  EXPECT_EQ(rejected_id(R"({"id":6,"loads":[1,2],"counts":[4,4],"restarts":0})"), 6);
+  EXPECT_EQ(rejected_id(R"({"op":"fly","id":"x"})"), 0);
 }
 
 // Unchecked, a negative count wraps through size_t (2^64 sweeps, or a vector

@@ -221,5 +221,41 @@ TEST(GateSolver, PlanAlwaysValid) {
   EXPECT_NO_THROW(out.plan.validate(problem));
 }
 
+// --------------------------------------------------------- noisy QAOA ------
+
+TEST(QaoaNoise, NoiseDegradesButStillSolvesTinyInstance) {
+  model::QuboModel q(2);
+  q.add_linear(0, -2.0);
+  q.add_linear(1, -1.0);
+  q.add_quadratic(0, 1, 3.0);
+
+  quantum::QaoaParams ideal;
+  ideal.layers = 2;
+  ideal.seed = 3;
+  quantum::QaoaParams noisy = ideal;
+  noisy.depolarizing_prob = 0.05;
+  noisy.noise_trajectories = 4;
+
+  const auto clean = quantum::QaoaSolver(ideal).solve_qubo(q);
+  const auto degraded = quantum::QaoaSolver(noisy).solve_qubo(q);
+  // Sampling still finds the optimum at 2 qubits; the optimized expectation
+  // is (weakly) worse under noise.
+  EXPECT_DOUBLE_EQ(degraded.best.energy, -2.0);
+  EXPECT_GE(degraded.expectation, clean.expectation - 1e-9);
+}
+
+TEST(QaoaNoise, HeavyNoiseFlattensTheDistribution) {
+  model::QuboModel q(3);
+  for (model::VarId v = 0; v < 3; ++v) q.add_linear(v, -1.0);
+  quantum::QaoaParams params;
+  params.layers = 2;
+  params.seed = 7;
+  params.depolarizing_prob = 0.5;  // near-depolarized circuit
+  params.noise_trajectories = 4;
+  const auto result = quantum::QaoaSolver(params).solve_qubo(q);
+  // Expectation approaches the uniform mean (-1.5) rather than the optimum (-3).
+  EXPECT_GT(result.expectation, -2.8);
+}
+
 }  // namespace
 }  // namespace qulrb

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "util/error.hpp"
@@ -249,6 +250,40 @@ TEST(Scenarios, SamoaScenarioMatchesTableV) {
   EXPECT_EQ(s.problem.num_processes(), 32u);
   EXPECT_EQ(s.problem.tasks_on(0), 208);
   EXPECT_NEAR(s.problem.imbalance_ratio(), 4.1994, 1e-6);
+}
+
+// ------------------------------------------------------ heavy-tail gen -----
+
+TEST(HeavyTail, LoadsArePositiveAndSkewed) {
+  const auto p = workloads::make_heavy_tail_problem(64, 10, 1.2, 7);
+  EXPECT_EQ(p.num_processes(), 64u);
+  double max_w = 0.0, min_w = 1e300;
+  for (std::size_t i = 0; i < 64; ++i) {
+    EXPECT_GE(p.task_load(i), 1.0);  // Pareto x_min
+    max_w = std::max(max_w, p.task_load(i));
+    min_w = std::min(min_w, p.task_load(i));
+  }
+  EXPECT_GT(max_w / min_w, 3.0);  // genuinely heavy-tailed
+  EXPECT_GT(p.imbalance_ratio(), 0.5);
+}
+
+TEST(HeavyTail, LargerAlphaIsMoreUniform) {
+  const auto heavy = workloads::make_heavy_tail_problem(128, 4, 1.0, 3);
+  const auto light = workloads::make_heavy_tail_problem(128, 4, 8.0, 3);
+  EXPECT_GT(heavy.imbalance_ratio(), light.imbalance_ratio());
+}
+
+TEST(HeavyTail, DeterministicPerSeed) {
+  const auto a = workloads::make_heavy_tail_problem(8, 4, 1.5, 9);
+  const auto b = workloads::make_heavy_tail_problem(8, 4, 1.5, 9);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_DOUBLE_EQ(a.task_load(i), b.task_load(i));
+  }
+}
+
+TEST(HeavyTail, RejectsBadParameters) {
+  EXPECT_THROW(workloads::make_heavy_tail_problem(0, 4), util::InvalidArgument);
+  EXPECT_THROW(workloads::make_heavy_tail_problem(4, 4, 0.0), util::InvalidArgument);
 }
 
 }  // namespace

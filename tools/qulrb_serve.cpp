@@ -112,7 +112,7 @@ class ProtocolSession {
     try {
       request = service::parse_request_line(line);
     } catch (const std::exception& e) {
-      conn_.send(service::encode_error(e.what(), 0));
+      conn_.send(service::encode_parse_error(e));
       return true;
     }
     switch (request.op) {
