@@ -31,6 +31,9 @@ constexpr double kPenaltyScale = 2.0;
 constexpr double kPenaltyGrowth = 8.0;
 /// Ladder size of the tempered restart.
 constexpr std::size_t kTemperingReplicas = 6;
+/// Each tempering replica sweeps `sweeps / kTemperingSweepDivisor + 1` times,
+/// so the tempered restart costs about two annealed restarts, not three.
+constexpr std::size_t kTemperingSweepDivisor = 3;
 /// Reported per solve() to mirror the constant QPU-access share that
 /// D-Wave's CQM logs show (~32 ms in the paper's Table V). Purely an
 /// accounting stand-in: no quantum hardware is involved.
@@ -126,6 +129,20 @@ void apply_fixings(model::State& s, const model::PresolveResult& pre) {
 }
 
 }  // namespace
+
+const char* to_string(RestartKind kind) noexcept {
+  switch (kind) {
+    case RestartKind::kRefine:
+      return "refine";
+    case RestartKind::kAnneal:
+      return "anneal";
+    case RestartKind::kTempered:
+      return "tempered";
+    case RestartKind::kNone:
+      break;
+  }
+  return "none";
+}
 
 void HybridCqmSolver::greedy_descent(CqmIncrementalState& walk, util::Rng& rng,
                                      std::size_t max_passes,
@@ -392,6 +409,18 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
   // replica intervals to the same pool as the annealed restarts.
   util::ThreadPool* pool = nullptr;
 
+  auto kind_of = [&](std::size_t r) {
+    if (tempered_last && r + 1 == total_restarts) return RestartKind::kTempered;
+    if (r == 0 && refinement_available) return RestartKind::kRefine;
+    return RestartKind::kAnneal;
+  };
+  auto restart_label = [&](std::size_t r) {
+    std::string label = "restart " + std::to_string(r);
+    if (kind_of(r) == RestartKind::kRefine) label += " (refine)";
+    if (kind_of(r) == RestartKind::kTempered) label += " (tempering)";
+    return label;
+  };
+
   // One restart: anneal, polish, and escalate penalties until feasible.
   auto run_restart = [&](std::size_t r) {
     if (r > 0 && budget.expired()) {
@@ -401,8 +430,9 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     // not on the submitting thread, for samples of this restart to attribute.
     obs::prof::RidScope rid_scope(params_.flight_rid);
     obs::prof::PhaseScope restart_phase("restart");
-    const bool tempered = tempered_last && r + 1 == total_restarts;
-    const bool refine = r == 0 && refinement_available;
+    const RestartKind kind = kind_of(r);
+    const bool tempered = kind == RestartKind::kTempered;
+    const bool refine = kind == RestartKind::kRefine;
     util::Rng rng = streams[r];
     std::vector<double> penalties = base_penalties;
     model::State init;
@@ -415,12 +445,7 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     // Each restart renders on its own trace track so the portfolio members
     // line up side by side in the viewer.
     const auto track = restart_track_base + static_cast<std::uint32_t>(r);
-    if (rec != nullptr) {
-      std::string label = "restart " + std::to_string(r);
-      if (refine) label += " (refine)";
-      if (tempered) label += " (tempering)";
-      rec->name_track(track, std::move(label));
-    }
+    if (rec != nullptr) rec->name_track(track, restart_label(r));
     obs::Recorder::Span restart_span(rec, "restart", "hybrid", track);
 
     const SamplerSinks sinks{.cancel = budget,
@@ -440,7 +465,7 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
       Sample s;
       if (tempered) {
         const TemperingParams tp{.num_replicas = kTemperingReplicas,
-                                 .sweeps = params_.sweeps / 2 + 1,
+                                 .sweeps = params_.sweeps / kTemperingSweepDivisor + 1,
                                  .seed = rng.next_u64(),
                                  .pool = pool,
                                  .sinks = sinks};
@@ -486,21 +511,30 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     });
   }
 
-  // Ordered merge: identical regardless of which thread finished first.
-  SampleSet all;
+  // Ordered merge: identical regardless of which thread finished first. The
+  // winner is the earliest restart no later one beats.
+  std::optional<std::size_t> winner;
   for (std::size_t r = 0; r < params_.num_restarts; ++r) {
     if (results[r].has_value()) {
-      all.add(std::move(*results[r]));
+      if (!winner || results[r]->better_than(*results[*winner])) winner = r;
       ++result.stats.restarts_used;
     }
     result.stats.penalty_rounds_used += rounds_by_restart[r];
   }
-  result.samples = all;
-  const auto best = all.best();
-  util::ensure(best.has_value(), "HybridCqmSolver: no restart produced a sample");
-  result.best = *best;
+  util::ensure(winner.has_value(), "HybridCqmSolver: no restart produced a sample");
+  result.best = *results[*winner];
+  result.stats.winner_restart = *winner;
+  result.stats.winner_kind = kind_of(*winner);
+  for (auto& sample : results) {
+    if (sample.has_value()) result.samples.add(std::move(*sample));
+  }
   if (budget.expired()) result.stats.budget_expired = true;
   if (rec != nullptr) {
+    // The winning restart's row is labelled, and the document says which.
+    rec->name_track(restart_track_base + static_cast<std::uint32_t>(*winner),
+                    restart_label(*winner) + " (winner)");
+    rec->annotate("winner_restart", std::to_string(*winner));
+    rec->annotate("winner_kind", to_string(result.stats.winner_kind));
     record_violation_attribution(*rec, cqm, result.best.state);
   }
   finalize();

@@ -75,6 +75,14 @@ struct HybridSolverParams {
   std::uint64_t flight_rid = 0;
 };
 
+/// What a portfolio restart runs: the feasible-start refinement, a plain
+/// annealing chain, or replica exchange. kNone marks a solve that never
+/// reached the sampling portfolio (presolve-infeasible, exhaustive
+/// enumeration).
+enum class RestartKind : std::uint8_t { kNone, kRefine, kAnneal, kTempered };
+
+const char* to_string(RestartKind kind) noexcept;
+
 struct HybridSolveStats {
   double cpu_ms = 0.0;
   double simulated_qpu_ms = 0.0;
@@ -89,6 +97,10 @@ struct HybridSolveStats {
   /// e.g. presolve-infeasible or exhaustive enumeration). Kept because the
   /// `replicas` wire/event field reports it.
   std::size_t replica_lanes = 0;
+  /// The portfolio member whose sample was returned: its restart index and
+  /// kind (the earliest restart wins ties, as in the ordered merge).
+  std::size_t winner_restart = 0;
+  RestartKind winner_kind = RestartKind::kNone;
   /// True when the time budget or a cancellation cut the solve short (the
   /// reported best is the incumbent at that point).
   bool budget_expired = false;

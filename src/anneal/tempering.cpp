@@ -14,6 +14,34 @@ namespace qulrb::anneal {
 
 using model::VarId;
 
+std::vector<double> tempering_ladder(const CqmIncrementalState& walk,
+                                     util::Rng& rng, std::size_t num_replicas) {
+  util::require(num_replicas >= 2, "tempering_ladder: need >= 2 replicas");
+  const std::size_t n = walk.num_variables();
+  double max_total = 1e-9;
+  double max_objective = 1e-9;
+  const std::size_t probes = std::min<std::size_t>(n, 256);
+  for (std::size_t p = 0; p < probes; ++p) {
+    const auto d = walk.flip_delta_parts(static_cast<VarId>(rng.next_below(n)));
+    max_total = std::max(max_total, std::abs(d.total()));
+    max_objective = std::max(max_objective, std::abs(d.objective));
+  }
+  // A flat objective (no probed objective move) leaves only the total scale.
+  const double objective_scale = max_objective > 1e-9 ? max_objective : max_total;
+  const double objective_point = std::log(2.0) / std::min(max_total, objective_scale);
+  const double total_point = 1e4 / max_total;
+  const double beta_hot = std::min(objective_point, total_point);
+  const double beta_cold =
+      std::max({objective_point, total_point, beta_hot * (1.0 + 1e-9)});
+  std::vector<double> betas(num_replicas);
+  for (std::size_t r = 0; r < num_replicas; ++r) {
+    const double t =
+        static_cast<double>(r) / static_cast<double>(num_replicas - 1);
+    betas[r] = beta_hot * std::pow(beta_cold / beta_hot, t);
+  }
+  return betas;
+}
+
 Sample ParallelTempering::run(const model::CqmModel& cqm,
                               std::vector<double> penalties,
                               const model::State& initial,
@@ -55,22 +83,8 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
   std::vector<std::size_t> perm(params_.num_replicas);
   std::iota(perm.begin(), perm.end(), std::size_t{0});
 
-  // Beta ladder, geometric between a hot end that accepts the largest probed
-  // move with probability 1/2 and a cold end 1e4 / that move.
-  double max_abs = 1e-9;
-  const std::size_t probes = std::min<std::size_t>(n, 256);
-  for (std::size_t p = 0; p < probes; ++p) {
-    const auto v = static_cast<VarId>(rngs[0].next_below(n));
-    max_abs = std::max(max_abs, std::abs(walkers[perm[0]].flip_delta(v)));
-  }
-  const double beta_hot = std::log(2.0) / max_abs;
-  const double beta_cold = 1e4 / max_abs;
-  std::vector<double> betas(params_.num_replicas);
-  for (std::size_t r = 0; r < params_.num_replicas; ++r) {
-    const double t = static_cast<double>(r) /
-                     static_cast<double>(params_.num_replicas - 1);
-    betas[r] = beta_hot * std::pow(beta_cold / beta_hot, t);
-  }
+  const std::vector<double> betas =
+      tempering_ladder(walkers[perm[0]], rngs[0], params_.num_replicas);
 
   const PairMoveIndex local_pairs =
       prebuilt_pairs == nullptr ? PairMoveIndex::build(cqm) : PairMoveIndex{};

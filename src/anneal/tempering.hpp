@@ -6,6 +6,7 @@
 #include "anneal/cqm_anneal.hpp"
 #include "anneal/sampleset.hpp"
 #include "model/cqm.hpp"
+#include "util/rng.hpp"
 
 namespace qulrb::util {
 class ThreadPool;
@@ -29,9 +30,25 @@ struct TemperingParams {
   SamplerSinks sinks;
 };
 
+/// The replica-exchange beta ladder, hottest first, geometric between two
+/// points probed from up to 256 random single flips of `walk` (drawn from
+/// `rng`):
+///  - the objective point, log 2 / the largest |objective delta| (or
+///    |total delta|, if that is smaller): the largest objective move is
+///    accepted with probability 1/2;
+///  - the total point, 10^4 / the largest |total delta|.
+/// While penalties inflate the total move scale by less than 10^4 / log 2,
+/// the objective point is the hot end, so the hottest replica tunes the
+/// objective instead of random-walking among infeasible states. Past that
+/// (escalated penalties, large models) the two points swap ends, so the
+/// ladder stays ordered in every penalty round. With no probed objective
+/// move, the objective point uses the total scale.
+std::vector<double> tempering_ladder(const CqmIncrementalState& walk,
+                                     util::Rng& rng, std::size_t num_replicas);
+
 /// Replica-exchange (parallel tempering) Monte Carlo on a CQM with penalty
-/// energy. A geometric beta ladder, derived from the model's energy scale, is
-/// run concurrently; adjacent replicas exchange configurations with the
+/// energy. The replicas run concurrently on the `tempering_ladder` betas;
+/// adjacent replicas exchange configurations with the
 /// Metropolis criterion
 ///   P(swap) = min(1, exp((beta_a - beta_b) * (E_a - E_b))).
 /// Between two exchanges the replicas walk independently, so each swap

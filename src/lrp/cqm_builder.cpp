@@ -51,11 +51,10 @@ LrpCqm::LrpCqm(const LrpProblem& problem, CqmVariant variant, std::int64_t k,
     for (std::size_t j = 0; j < m_; ++j) {
       if (variant_ == CqmVariant::kReduced && i == j) continue;
       if (coeffs_[j].empty()) continue;  // nothing can come from process j
+      // Unnamed: var(i, j, l) addresses every variable, so a formatted name
+      // per variable would only cost the cold build.
       pair_base_[i * m_ + j] = static_cast<VarId>(cqm_.num_variables());
-      for (std::size_t l = 0; l < coeffs_[j].size(); ++l) {
-        cqm_.add_variable("x[" + std::to_string(i) + "][" + std::to_string(j) +
-                          "][" + std::to_string(l) + "]");
-      }
+      for (std::size_t l = 0; l < coeffs_[j].size(); ++l) cqm_.add_variable();
     }
   }
 

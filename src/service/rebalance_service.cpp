@@ -353,6 +353,8 @@ RebalanceResponse RebalanceService::solve_item(Pending& item) {
     response.feasible = out.feasible;
     response.budget_expired = diag.hybrid_stats.budget_expired;
     response.replica_lanes = diag.hybrid_stats.replica_lanes;
+    response.winner_restart = diag.hybrid_stats.winner_restart;
+    response.winner_kind = diag.hybrid_stats.winner_kind;
     response.outcome = item.token.cancel_requested()
                            ? RequestOutcome::kCancelled
                            : RequestOutcome::kOk;
@@ -486,6 +488,12 @@ void RebalanceService::finish(Pending item, RebalanceResponse response) {
       event.time_to_target_ms = response.time_to_target_ms;
     }
     if (response.cache_hit) event.extra.emplace_back("cache", "hit");
+    if (response.winner_kind != anneal::RestartKind::kNone) {
+      event.extra.emplace_back("winner_restart",
+                               std::to_string(response.winner_restart));
+      event.extra.emplace_back("winner_kind",
+                               anneal::to_string(response.winner_kind));
+    }
     if (response.simulated) {
       char buf[32];
       std::snprintf(buf, sizeof(buf), "%.3f",

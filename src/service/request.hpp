@@ -87,6 +87,10 @@ struct RebalanceResponse {
   /// Chains per sampling restart (HybridSolveStats::replica_lanes);
   /// 0 = never reached the portfolio.
   std::size_t replica_lanes = 0;
+  /// The portfolio member whose sample was returned
+  /// (HybridSolveStats::winner_restart / winner_kind).
+  std::size_t winner_restart = 0;
+  anneal::RestartKind winner_kind = anneal::RestartKind::kNone;
 
   double queue_ms = 0.0;  ///< admission -> dispatch
   double solve_ms = 0.0;  ///< dispatch -> solver done

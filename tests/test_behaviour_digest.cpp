@@ -13,10 +13,12 @@
 #include "anneal/cqm_anneal.hpp"
 #include "anneal/sa.hpp"
 #include "anneal/tempering.hpp"
+#include "classical/kk.hpp"
 #include "lrp/cqm_builder.hpp"
 #include "lrp/kselect.hpp"
 #include "lrp/quantum_solver.hpp"
 #include "model/cqm_to_qubo.hpp"
+#include "util/rng.hpp"
 #include "workloads/samoa.hpp"
 #include "workloads/scenarios.hpp"
 
@@ -156,6 +158,74 @@ TEST(BehaviourDigest, ParallelTemperingRun) {
   const anneal::Sample s =
       anneal::ParallelTempering(params).run(m.cqm, m.penalties, {}, &m.pairs);
   EXPECT_EQ(sample_digest(s), "611a7c39224f0806");
+}
+
+// The same run from the refined state of CqmAnnealerRefinement with every
+// 13th bit flipped, under uniform penalties of 1e8 and 1e10: the largest
+// probed total move is then ~2.7e3 and ~2.7e5 times the largest objective
+// move, so the first ladder has the objective point as its hot end and the
+// second has the two points swapped. Recorded with the two-point ladder.
+TEST(BehaviourDigest, ParallelTemperingPenaltyDominated) {
+  const StandaloneModel m;
+  anneal::CqmAnnealParams refine;
+  refine.sweeps = 60;
+  refine.refinement = true;
+  util::Rng rng(13);
+  model::State start = anneal::CqmAnnealer(refine)
+                           .anneal_once(m.cqm, m.penalties, rng,
+                                        model::State(m.cqm.num_variables(), 0),
+                                        &m.pairs)
+                           .state;
+  for (std::size_t v = 0; v < start.size(); v += 13) start[v] ^= 1U;
+  anneal::TemperingParams params;
+  params.num_replicas = 4;
+  params.sweeps = 30;
+  params.swap_interval = 5;
+  params.seed = 17;
+  std::vector<std::string> digests;
+  for (const double weight : {1e8, 1e10}) {
+    digests.push_back(sample_digest(anneal::ParallelTempering(params).run(
+        m.cqm, std::vector<double>(m.cqm.num_constraints(), weight), start,
+        &m.pairs)));
+  }
+  EXPECT_EQ(digests[0], "c55d4a83c6d36c4f");
+  EXPECT_EQ(digests[1], "a7b06360f03f46bc");
+}
+
+// classical::kk_partition: every bin's member indices in order, then the
+// bit patterns of the bin sums. Recorded on the heap-of-tuples
+// implementation, before the flat one replaced it.
+std::string partition_digest(const classical::PartitionResult& r) {
+  Fnv1a h;
+  for (const auto& bin : r.bins) {
+    h.add(bin.size());
+    for (const std::size_t i : bin) h.add(i);
+  }
+  for (const double sum : r.bin_sums) h.add(std::bit_cast<std::uint64_t>(sum));
+  return h.hex();
+}
+
+// The Table V items (M=32, n=208 per node): KK is the k2 source of the
+// paper pipeline on this instance.
+TEST(BehaviourDigest, KkPartitionTableV) {
+  const workloads::SamoaWorkload workload = workloads::make_samoa_workload();
+  const std::vector<double> items = workload.problem.flatten_tasks();
+  EXPECT_EQ(partition_digest(classical::kk_partition(
+                items, workload.problem.num_processes())),
+            "8956ca5eecbaac03");
+}
+
+// Random instances: distinct uniform loads into 7 bins, and small integer
+// loads (many equal sums, so tie order matters) into 16 bins.
+TEST(BehaviourDigest, KkPartitionRandom) {
+  util::Rng rng(23);
+  std::vector<double> uniform(500);
+  for (double& x : uniform) x = rng.next_double() * 100.0;
+  EXPECT_EQ(partition_digest(classical::kk_partition(uniform, 7)), "3b2ea3e313e17b8a");
+  std::vector<double> integers(300);
+  for (double& x : integers) x = static_cast<double>(1 + rng.next_below(9));
+  EXPECT_EQ(partition_digest(classical::kk_partition(integers, 16)),
+            "3904f67246f4152b");
 }
 
 }  // namespace

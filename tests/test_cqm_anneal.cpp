@@ -317,20 +317,8 @@ Sample reference_tempering(const model::CqmModel& cqm,
     walkers.emplace_back(cqm, std::move(start), penalties);
   }
 
-  double max_abs = 1e-9;
-  const std::size_t probes = std::min<std::size_t>(n, 256);
-  for (std::size_t p = 0; p < probes; ++p) {
-    const auto v = static_cast<model::VarId>(rngs[0].next_below(n));
-    max_abs = std::max(max_abs, std::abs(walkers[0].flip_delta(v)));
-  }
-  const double beta_hot = std::log(2.0) / max_abs;
-  const double beta_cold = 1e4 / max_abs;
-  std::vector<double> betas(params.num_replicas);
-  for (std::size_t r = 0; r < params.num_replicas; ++r) {
-    const double t = static_cast<double>(r) /
-                     static_cast<double>(params.num_replicas - 1);
-    betas[r] = beta_hot * std::pow(beta_cold / beta_hot, t);
-  }
+  const std::vector<double> betas =
+      tempering_ladder(walkers[0], rngs[0], params.num_replicas);
 
   auto snapshot = [](const CqmIncrementalState& w) {
     return Sample{w.state(), w.objective(), w.total_violation(), w.feasible()};
@@ -474,6 +462,81 @@ TEST(ParallelTempering, PoolOfAnySizeMatchesReference) {
       params.pool = nullptr;
     }
   }
+}
+
+// ------------------------------------------------------ tempering ladder -
+
+// Largest |total| and |objective| single-flip deltas over the probes
+// tempering_ladder draws from a copy of `rng`.
+std::pair<double, double> probed_move_scales(const CqmIncrementalState& walk,
+                                             util::Rng rng) {
+  const std::size_t n = walk.num_variables();
+  double max_total = 0.0;
+  double max_objective = 0.0;
+  for (std::size_t p = 0; p < std::min<std::size_t>(n, 256); ++p) {
+    const auto d = walk.flip_delta_parts(static_cast<VarId>(rng.next_below(n)));
+    max_total = std::max(max_total, std::abs(d.total()));
+    max_objective = std::max(max_objective, std::abs(d.objective));
+  }
+  return {max_total, max_objective};
+}
+
+// degenerate_cqm() on the boundary of its constraint (six of twelve bits
+// set): clearing a bit moves the objective by -3, setting one by +5 plus
+// the penalty weight, so the weight sets how far penalties dominate.
+CqmIncrementalState boundary_walk(const model::CqmModel& cqm, double weight) {
+  State start(cqm.num_variables(), 0);
+  std::fill(start.begin(), start.begin() + 6, std::uint8_t{1});
+  return CqmIncrementalState(cqm, std::move(start),
+                             std::vector<double>(cqm.num_constraints(), weight));
+}
+
+// When penalties dominate the move scale (here by ~2000x, under the
+// 10^4 / log 2 where the ends swap), the hottest replica is still tuned to
+// the objective: it accepts the largest probed objective move with
+// probability 1/2, far colder than a hot end on the total (penalty) scale.
+TEST(ParallelTempering, LadderHotEndFollowsObjectiveScale) {
+  const model::CqmModel cqm = degenerate_cqm();
+  const CqmIncrementalState walk = boundary_walk(cqm, 1e4);
+  util::Rng rng(8);
+  const auto [max_total, max_objective] = probed_move_scales(walk, rng);
+  ASSERT_EQ(max_objective, 5.0);
+  ASSERT_EQ(max_total, 1e4 + 5.0);
+
+  const std::vector<double> betas = tempering_ladder(walk, rng, 6);
+  ASSERT_EQ(betas.size(), 6u);
+  EXPECT_DOUBLE_EQ(std::exp(-betas.front() * max_objective), 0.5);
+  EXPECT_GT(betas.front(), 1000.0 * std::log(2.0) / max_total);
+}
+
+// Escalating the penalties (x8 per round, as the hybrid solver does) widens
+// max|total| / max|objective| past 10^4 / log 2, where 10^4 / max|total|
+// falls below the objective point log 2 / max|objective|. The ladder must
+// keep both points as its ends, hottest first, and stay strictly increasing
+// in every round.
+TEST(ParallelTempering, LadderStaysOrderedUnderEscalatedPenalties) {
+  const model::CqmModel cqm = degenerate_cqm();
+  double weight = 2.0;
+  bool points_swapped = false;
+  for (int round = 0; round < 8; ++round, weight *= 8.0) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const CqmIncrementalState walk = boundary_walk(cqm, weight);
+    util::Rng rng(12);
+    const auto [max_total, max_objective] = probed_move_scales(walk, rng);
+    const double objective_point = std::log(2.0) / max_objective;
+    const double total_point = 1e4 / max_total;
+    points_swapped = points_swapped || total_point < objective_point;
+    const std::vector<double> betas = tempering_ladder(walk, rng, 6);
+    EXPECT_DOUBLE_EQ(betas.front(), std::min(objective_point, total_point));
+    EXPECT_DOUBLE_EQ(betas.back(), std::max(objective_point, total_point));
+    for (std::size_t r = 0; r < betas.size(); ++r) {
+      EXPECT_TRUE(std::isfinite(betas[r]) && betas[r] > 0.0);
+      if (r > 0) {
+        EXPECT_LT(betas[r - 1], betas[r]);
+      }
+    }
+  }
+  EXPECT_TRUE(points_swapped);
 }
 
 // ------------------------------------------------- pair proposal law ------

@@ -204,9 +204,21 @@ TEST(CqmBuilder, StandardBinaryEncodingOption) {
   EXPECT_EQ(plan.total_migrated(), 0);
 }
 
-TEST(CqmBuilder, VariableNamesEncodePosition) {
+// Variables carry no names (the build formats none); var(to, from, bit)
+// addresses them, in (to, from, bit) order with no gaps.
+TEST(CqmBuilder, VarAddressesUnnamedVariablesInOrder) {
   const LrpCqm cqm(kSmall, CqmVariant::kFull, 4);
-  EXPECT_EQ(cqm.cqm().variable_name(cqm.var(1, 2, 0)), "x[1][2][0]");
+  model::VarId expected = 0;
+  for (std::size_t to = 0; to < cqm.num_processes(); ++to) {
+    for (std::size_t from = 0; from < cqm.num_processes(); ++from) {
+      for (std::size_t bit = 0; bit < cqm.bits_for_source(from); ++bit) {
+        EXPECT_EQ(cqm.var(to, from, bit), expected);
+        EXPECT_EQ(cqm.cqm().variable_name(expected), "");
+        ++expected;
+      }
+    }
+  }
+  EXPECT_EQ(expected, cqm.num_binary_variables());
 }
 
 TEST(CqmBuilder, KZeroForcesIdentity) {

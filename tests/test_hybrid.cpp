@@ -273,6 +273,7 @@ TEST(Hybrid, OutputInvariantAcrossThreads) {
       expect_sample_eq(got.best, serial.best);
       EXPECT_EQ(got.stats.restarts_used, serial.stats.restarts_used);
       EXPECT_EQ(got.stats.penalty_rounds_used, serial.stats.penalty_rounds_used);
+      EXPECT_EQ(got.stats.winner_restart, serial.stats.winner_restart);
       ASSERT_EQ(got.samples.size(), serial.samples.size());
       for (std::size_t i = 0; i < got.samples.size(); ++i) {
         SCOPED_TRACE("sample " + std::to_string(i));
@@ -294,6 +295,50 @@ TEST(Hybrid, CountsSweeps) {
   // restart adds its ladder rounds on top.
   EXPECT_GE(reg.counter("qulrb_solver_sweeps_total").value(),
             (params.num_restarts - 1) * params.sweeps);
+}
+
+// A single restart on Q_CQM1, whose no-migration point is feasible, is the
+// refinement member, and it is the winner the solve reports.
+TEST(Hybrid, OneRestartQcqm1ReportsRefineWinner) {
+  const CqmModel cqm = skewed_lrp_cqm();
+  obs::Recorder recorder("solve");
+  auto params = lrp_portfolio_params();
+  params.num_restarts = 1;
+  params.recorder = &recorder;
+  const auto result = HybridCqmSolver(params).solve(cqm);
+  EXPECT_EQ(result.stats.winner_restart, 0u);
+  EXPECT_EQ(result.stats.winner_kind, RestartKind::kRefine);
+  EXPECT_STREQ(to_string(result.stats.winner_kind), "refine");
+
+  bool annotated = false;
+  for (const auto& [key, value] : recorder.annotations()) {
+    if (key == "winner_kind") annotated = value == "refine";
+  }
+  EXPECT_TRUE(annotated);
+  bool labelled = false;
+  for (const auto& [track, label] : recorder.track_names()) {
+    labelled = labelled || label == "restart 0 (refine) (winner)";
+  }
+  EXPECT_TRUE(labelled);
+}
+
+// The reported winner is the restart whose sample was returned: no other
+// restart beats it, and its kind follows its position in the portfolio.
+TEST(Hybrid, WinnerIsTheReturnedRestart) {
+  const CqmModel cqm = skewed_lrp_cqm();
+  const auto params = lrp_portfolio_params();
+  const auto result = HybridCqmSolver(params).solve(cqm);
+  ASSERT_EQ(result.samples.size(), params.num_restarts);
+  const std::size_t w = result.stats.winner_restart;
+  ASSERT_LT(w, params.num_restarts);
+  expect_sample_eq(result.samples.at(w), result.best);
+  for (std::size_t r = 0; r < result.samples.size(); ++r) {
+    EXPECT_FALSE(result.samples.at(r).better_than(result.best));
+  }
+  const RestartKind expected = w == 0 ? RestartKind::kRefine
+                               : w + 1 == params.num_restarts ? RestartKind::kTempered
+                                                              : RestartKind::kAnneal;
+  EXPECT_EQ(result.stats.winner_kind, expected);
 }
 
 TEST(Hybrid, SolveEventSerializesReplicasFieldWhenKnown) {

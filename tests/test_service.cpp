@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "io/json_value.hpp"
 #include "obs/clock.hpp"
+#include "obs/event_log.hpp"
 #include "service/rebalance_service.hpp"
 #include "util/timer.hpp"
 
@@ -50,6 +53,27 @@ TEST(Service, SolvesEndToEnd) {
   EXPECT_EQ(stats.submitted, 1u);
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.cache.misses, 1u);
+}
+
+// The solve event names the portfolio member that produced the plan: a
+// one-restart Q_CQM1 request is won by its refinement restart.
+TEST(Service, SolveEventNamesWinningRestart) {
+  const std::string path = testing::TempDir() + "qulrb_service_winner.jsonl";
+  std::remove(path.c_str());
+  {
+    obs::EventLog log(path, /*append=*/false);
+    RebalanceService svc({.num_workers = 1, .event_log = &log});
+    EXPECT_EQ(svc.submit(small_request()).get().winner_kind,
+              anneal::RestartKind::kRefine);
+    svc.drain();
+  }
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  const io::JsonValue doc = io::JsonValue::parse(line);
+  EXPECT_EQ(doc.string_or("winner_restart", ""), "0");
+  EXPECT_EQ(doc.string_or("winner_kind", ""), "refine");
+  std::remove(path.c_str());
 }
 
 TEST(Service, RepeatRequestsHitTheCache) {
