@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "anneal/schedule.hpp"
-#include "obs/phase.hpp"
 #include "util/error.hpp"
 
 namespace qulrb::anneal {
@@ -396,15 +395,6 @@ std::size_t PairMoveIndex::pair_scan_cost() const noexcept {
   return cost;
 }
 
-void SamplerSinks::finish(double start_us, std::size_t sweeps_done) const {
-  if (sweep_counter != nullptr && sweeps_done > 0) sweep_counter->inc(sweeps_done);
-  if (flight != nullptr) {
-    const double end_us = flight->now_us();
-    flight->record(flight_name, obs::FlightKind::kSpan, trace_track, flight_rid,
-                   end_us, end_us - start_us, static_cast<double>(sweeps_done));
-  }
-}
-
 namespace {
 
 /// Share of Metropolis steps that propose a pair move instead of a flip.
@@ -479,17 +469,9 @@ Sample CqmAnnealer::anneal_once(const CqmModel& cqm, std::vector<double> penalti
 
   Sample best{walk.state(), walk.objective(), walk.total_violation(), walk.feasible()};
 
-  // Explicit profiler phase (not via the Span, which only pushes when a
-  // recorder is attached): the sweep loop is where serving CPU goes, and it
-  // must be attributable in always-on profiles with tracing off.
   const SamplerSinks& sinks = params_.sinks;
-  obs::prof::PhaseScope anneal_phase(params_.refinement ? "refine" : "anneal");
-  obs::Recorder::Span anneal_span(sinks.recorder,
-                                  params_.refinement ? "refine" : "anneal",
-                                  "sampler", sinks.trace_track);
-  const double flight_start_us = sinks.flight_start_us();
-  const std::size_t sample_every = std::max<std::size_t>(1, params_.sweeps / 64);
-  std::size_t sweeps_done = 0;
+  SamplerRun run(sinks, params_.refinement ? "refine" : "anneal",
+                 schedule.sweeps());
 
   const PairMoveIndex local_pairs =
       pairs == nullptr ? PairMoveIndex::build(cqm) : PairMoveIndex{};
@@ -505,16 +487,8 @@ Sample CqmAnnealer::anneal_once(const CqmModel& cqm, std::vector<double> penalti
         best = std::move(current);
       }
     }
-    ++sweeps_done;
-    if (sinks.recorder != nullptr &&
-        (sweep % sample_every == 0 || sweep + 1 == schedule.sweeps())) {
-      sinks.recorder->sample("incumbent_energy", sinks.trace_track,
-                             best.energy + best.violation);
-      sinks.recorder->sample("incumbent_violation", sinks.trace_track,
-                             best.violation);
-    }
+    run.sweep_done(sweep, best.energy, best.violation);
   }
-  sinks.finish(flight_start_us, sweeps_done);
   return best;
 }
 

@@ -8,10 +8,8 @@
 #include <vector>
 
 #include "anneal/sampleset.hpp"
+#include "anneal/sinks.hpp"
 #include "model/cqm.hpp"
-#include "obs/metrics.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/recorder.hpp"
 #include "util/cancel.hpp"
 #include "util/rng.hpp"
 
@@ -88,12 +86,10 @@ class CqmIncrementalState {
   void set_penalties(std::vector<double> penalties);
 
   std::size_t num_constraints() const noexcept { return cons_.size(); }
-  double constraint_activity(std::size_t c) const noexcept { return cons_[c].activity; }
   double constraint_violation(std::size_t c) const noexcept {
     return model::CqmModel::violation_of(cons_[c].sense, cons_[c].activity,
                                          cons_[c].rhs);
   }
-  double penalty_weight(std::size_t c) const noexcept { return cons_[c].penalty; }
   std::span<const double> group_values() const noexcept { return group_values_; }
 
  private:
@@ -213,36 +209,6 @@ class PairMoveIndex {
   /// constraint_incidence(): the occupancy bit of the class that incidence
   /// falls in, or a spare bit past the last class when it is in none.
   std::vector<std::uint32_t> inc_bits_;
-};
-
-/// Control and telemetry sinks of one sampler run, shared by CqmAnnealer and
-/// ParallelTempering. Every sink is optional and follows one discipline: it
-/// consumes no RNG and never alters control flow, so output is bitwise
-/// identical with or without it.
-struct SamplerSinks {
-  /// Polled once per sweep; when expired the best-seen sample is returned
-  /// immediately (anytime semantics). Inert by default.
-  util::CancelToken cancel;
-  /// Trace sink: one span per run on `trace_track` plus a sampled
-  /// incumbent-energy timeline (~64 points).
-  obs::Recorder* recorder = nullptr;
-  std::uint32_t trace_track = 0;
-  /// Metrics sink: bumped once per run by the sweeps executed (for
-  /// tempering, rounds over the whole ladder).
-  obs::Counter* sweep_counter = nullptr;
-  /// Always-on flight ring: one compact span per run carrying the executed
-  /// sweep count, stamped with `flight_rid` so a retroactive dump slices out
-  /// the triggering request's solver activity.
-  obs::FlightRecorder* flight = nullptr;
-  std::uint16_t flight_name = 0;  ///< interned record name (flight->intern)
-  std::uint64_t flight_rid = 0;
-
-  /// Start stamp for finish(); 0 when no flight ring is attached.
-  double flight_start_us() const noexcept {
-    return flight != nullptr ? flight->now_us() : 0.0;
-  }
-  /// End of a run: bump the sweep counter, then record the flight span.
-  void finish(double start_us, std::size_t sweeps_done) const;
 };
 
 struct CqmAnnealParams {

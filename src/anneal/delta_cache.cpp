@@ -1,12 +1,9 @@
 #include "anneal/delta_cache.hpp"
 
-#include <utility>
-
 #include "util/error.hpp"
 
 namespace qulrb::anneal {
 
-using model::CqmModel;
 using model::VarId;
 
 QuboDeltaCache::QuboDeltaCache(const model::QuboModel& qubo,
@@ -34,78 +31,6 @@ void QuboDeltaCache::apply_flip(model::State& state, VarId v) noexcept {
   for (const auto& nb : (*adjacency_)[v]) {
     const double direction = state[nb.other] ? -1.0 : 1.0;
     delta_[nb.other] += direction * sign_v * nb.coeff;
-  }
-}
-
-CqmDeltaCache::CqmDeltaCache(const CqmModel& cqm, model::State initial,
-                             std::vector<double> penalties)
-    : cqm_(&cqm), walk_(cqm, std::move(initial), std::move(penalties)) {
-  deltas_.resize(cqm.num_variables());
-  for (VarId v = 0; v < deltas_.size(); ++v) {
-    deltas_[v] = walk_.flip_delta_parts(v);
-  }
-}
-
-void CqmDeltaCache::apply_flip(VarId v) {
-  const auto& state = walk_.state();
-  const double sign_v = state[v] ? -1.0 : 1.0;
-  const auto groups = cqm_->squared_groups();
-  const auto constraints = cqm_->constraints();
-  const auto& group_inc = cqm_->group_incidence();
-  const auto& con_inc = cqm_->constraint_incidence();
-  const auto& quad_inc = cqm_->quadratic_incidence();
-
-  // Objective quadratic: u's delta includes sign_u * coeff * x_v, and x_v
-  // moves by sign_v.
-  for (const auto& nb : quad_inc[v]) {
-    if (nb.other == v) continue;
-    const double sign_u = state[nb.other] ? -1.0 : 1.0;
-    deltas_[nb.other].objective += sign_u * nb.coeff * sign_v;
-  }
-
-  // Squared groups: group g's value steps by dG = sign_v * c_v, shifting
-  // every member's linearized term sign_u * (2 w a_u) * G by that step.
-  for (const auto& inc : group_inc[v]) {
-    const auto& g = groups[inc.index];
-    const double dG = sign_v * inc.coeff;
-    for (const auto& t : g.expr.terms()) {
-      if (t.var == v) continue;
-      const double sign_u = state[t.var] ? -1.0 : 1.0;
-      deltas_[t.var].objective += sign_u * (2.0 * g.weight * t.coeff) * dG;
-    }
-  }
-
-  // Constraints: activity steps from A to A' = A + sign_v * c_v; every other
-  // member's penalty delta is re-based from A to A'.
-  for (const auto& inc : con_inc[v]) {
-    const std::size_t c = inc.index;
-    const auto& con = constraints[c];
-    const double pen = walk_.penalty_weight(c);
-    const double old_act = walk_.constraint_activity(c);
-    const double new_act = old_act + sign_v * inc.coeff;
-    const double base_old = pen * CqmModel::violation_of(con.sense, old_act, con.rhs);
-    const double base_new = pen * CqmModel::violation_of(con.sense, new_act, con.rhs);
-    for (const auto& t : con.lhs.terms()) {
-      if (t.var == v) continue;
-      const double step = (state[t.var] ? -1.0 : 1.0) * t.coeff;
-      const double shifted_old =
-          pen * CqmModel::violation_of(con.sense, old_act + step, con.rhs);
-      const double shifted_new =
-          pen * CqmModel::violation_of(con.sense, new_act + step, con.rhs);
-      deltas_[t.var].penalty += (shifted_new - base_new) - (shifted_old - base_old);
-    }
-  }
-
-  walk_.apply_flip(v);
-  // v's own entry: the sign reversal is not FP-exact (the aggregates it sums
-  // against have moved), so recompute it from the walk.
-  deltas_[v] = walk_.flip_delta_parts(v);
-}
-
-void CqmDeltaCache::set_penalties(std::vector<double> penalties) {
-  walk_.set_penalties(std::move(penalties));
-  for (VarId v = 0; v < deltas_.size(); ++v) {
-    deltas_[v].penalty = walk_.flip_delta_parts(v).penalty;
   }
 }
 

@@ -234,7 +234,6 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
   // --- classical presolve --------------------------------------------------
   const model::PresolveResult local_pre = [&] {
     if (params_.reuse_presolve != nullptr) return model::PresolveResult{};
-    obs::prof::PhaseScope presolve_phase("presolve");
     obs::Recorder::Span presolve_span(rec, "presolve", "hybrid", 0);
     return model::presolve(cqm);
   }();
@@ -261,7 +260,6 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
   }
   if (params_.exhaustive_max_vars > 0 && free_vars.size() < 64 &&
       free_vars.size() <= params_.exhaustive_max_vars) {
-    obs::prof::PhaseScope enum_phase("exhaustive-enum");
     obs::Recorder::Span enum_span(rec, "exhaustive-enum", "hybrid", 0);
     model::State base(cqm.num_variables(), 0);
     apply_fixings(base, pre);
@@ -314,7 +312,6 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
   const std::vector<double> base_penalties = initial_penalties(cqm);
   const PairMoveIndex local_pairs = [&] {
     if (params_.reuse_pairs != nullptr) return PairMoveIndex{};
-    obs::prof::PhaseScope pairs_phase("pair-index-build");
     obs::Recorder::Span pairs_span(rec, "pair-index-build", "hybrid", 0);
     return PairMoveIndex::build(cqm);
   }();
@@ -360,7 +357,6 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
   // annealed and tempered restarts; always runs on the restart's own stream.
   auto polish = [&](Sample& s, const std::vector<double>& penalties,
                     util::Rng& rng, std::uint32_t track) {
-    obs::prof::PhaseScope polish_phase("polish");
     obs::Recorder::Span polish_span(rec, "polish", "hybrid", track);
     CqmIncrementalState walk(cqm, s.state, penalties);
     greedy_descent(walk, rng, 32, &budget);
@@ -386,7 +382,6 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
   // Escalate penalties where the best state is still violating.
   auto escalate = [&](const Sample& s, std::vector<double>& penalties,
                       std::uint32_t track) {
-    obs::prof::PhaseScope adapt_phase("penalty-adapt");
     obs::Recorder::Span adapt_span(rec, "penalty-adapt", "hybrid", track);
     const CqmIncrementalState probe(cqm, s.state, penalties);
     for (std::size_t c = 0; c < probe.num_constraints(); ++c) {
@@ -426,10 +421,14 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     if (r > 0 && budget.expired()) {
       return;  // keep at least one restart so solve() always has an incumbent
     }
-    // May run on a pool worker thread; the phase/rid scopes must live here,
-    // not on the submitting thread, for samples of this restart to attribute.
+    // May run on a pool worker thread; the rid and phase scopes must live
+    // here, not on the submitting thread, for samples of this restart to
+    // attribute. Each restart renders on its own trace track so the
+    // portfolio members line up side by side in the viewer.
     obs::prof::RidScope rid_scope(params_.flight_rid);
-    obs::prof::PhaseScope restart_phase("restart");
+    const auto track = restart_track_base + static_cast<std::uint32_t>(r);
+    if (rec != nullptr) rec->name_track(track, restart_label(r));
+    obs::Recorder::Span restart_span(rec, "restart", "hybrid", track);
     const RestartKind kind = kind_of(r);
     const bool tempered = kind == RestartKind::kTempered;
     const bool refine = kind == RestartKind::kRefine;
@@ -442,19 +441,14 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
       init = random_state(cqm.num_variables(), rng);
     }
     apply_fixings(init, pre);
-    // Each restart renders on its own trace track so the portfolio members
-    // line up side by side in the viewer.
-    const auto track = restart_track_base + static_cast<std::uint32_t>(r);
-    if (rec != nullptr) rec->name_track(track, restart_label(r));
-    obs::Recorder::Span restart_span(rec, "restart", "hybrid", track);
 
-    const SamplerSinks sinks{.cancel = budget,
-                             .recorder = rec,
-                             .trace_track = track,
-                             .sweep_counter = m_sweeps,
-                             .flight = params_.flight,
-                             .flight_name = tempered ? f_temper : f_anneal,
-                             .flight_rid = params_.flight_rid};
+    const SamplerSinks sinks{
+        .cancel = budget,
+        .recorder = rec,
+        .trace_track = track,
+        .sweep_counter = m_sweeps,
+        .flight = {params_.flight, tempered ? f_temper : f_anneal,
+                   params_.flight_rid}};
 
     Sample best_of_restart;
     bool have_sample = false;

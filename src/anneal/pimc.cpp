@@ -98,13 +98,11 @@ Sample PimcAnnealer::sample_ising(const model::IsingModel& ising) const {
   const double beta = params_.beta;
   const double Pd = static_cast<double>(P);
 
-  obs::Recorder::Span evolve_span(params_.recorder, "pimc-evolve", "sampler",
-                                  params_.trace_track);
-  const std::size_t sample_every = std::max<std::size_t>(1, params_.sweeps / 64);
-  std::size_t sweeps_done = 0;
+  const SamplerSinks& sinks = params_.sinks;
+  SamplerRun evolve(sinks, "pimc-evolve", params_.sweeps);
 
   for (std::size_t sweep = 0; sweep < params_.sweeps; ++sweep) {
-    if (params_.cancel.expired()) break;
+    if (sinks.cancel.expired()) break;
     const double t = params_.sweeps == 1
                          ? 1.0
                          : static_cast<double>(sweep) /
@@ -159,24 +157,16 @@ Sample PimcAnnealer::sample_ising(const model::IsingModel& ising) const {
         }
       }
     }
-    ++sweeps_done;
-    if (params_.recorder != nullptr &&
-        (sweep % sample_every == 0 || sweep + 1 == params_.sweeps)) {
-      params_.recorder->sample("incumbent_energy", params_.trace_track,
-                               best_energy);
-    }
+    evolve.sweep_done(sweep, best_energy, 0.0);
   }
-  evolve_span.close();
-  if (params_.sweep_counter != nullptr && sweeps_done > 0) {
-    params_.sweep_counter->inc(sweeps_done);
-  }
+  evolve.close();
 
   // Zero-temperature quench of the best slice: accept all non-increasing
   // flips (plateau walks let residual domain walls diffuse and annihilate),
   // mirroring the classical readout quench of SQA implementations.
   {
-    obs::Recorder::Span quench_span(params_.recorder, "pimc-quench", "sampler",
-                                    params_.trace_track);
+    obs::Recorder::Span quench_span(sinks.recorder, "pimc-quench", "sampler",
+                                    sinks.trace_track);
     std::vector<double> quench_field(n);
     FieldCache quench_fields(ising, best_spins, quench_field);
     double energy = ising.energy(best_spins);

@@ -4,11 +4,9 @@
 #include <cstdint>
 
 #include "anneal/sampleset.hpp"
+#include "anneal/sinks.hpp"
 #include "model/ising.hpp"
 #include "model/qubo.hpp"
-#include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
-#include "util/cancel.hpp"
 
 namespace qulrb::anneal {
 
@@ -17,16 +15,10 @@ struct PimcParams {
   std::size_t sweeps = 500;         ///< annealing steps (field schedule length)
   double beta = 4.0;                ///< inverse physical temperature
   std::uint64_t seed = 1;
-  /// Polled once per field-schedule sweep; when expired the best slice seen
-  /// so far is quenched and returned. Inert by default.
-  util::CancelToken cancel;
-  /// Optional trace sink: spans for the Trotter evolution and the readout
-  /// quench plus a sampled best-slice-energy timeline. Consumes no RNG;
-  /// output is bitwise identical with it on/off.
-  obs::Recorder* recorder = nullptr;
-  std::uint32_t trace_track = 0;
-  /// Optional metrics sink: bumped by field-schedule sweeps executed.
-  obs::Counter* sweep_counter = nullptr;
+  /// The cancel token is polled once per field-schedule sweep (the best
+  /// slice seen so far is quenched and returned). The Trotter evolution is
+  /// one "pimc-evolve" run; the readout quench is a "pimc-quench" phase.
+  SamplerSinks sinks;
 };
 
 /// Path-integral Monte-Carlo simulated *quantum* annealing

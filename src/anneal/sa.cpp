@@ -1,6 +1,5 @@
 #include "anneal/sa.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -32,10 +31,7 @@ Sample SimulatedAnnealer::anneal_once(const model::QuboModel& qubo, util::Rng& r
   model::State best_state = state;
   double best_energy = cache.energy();
 
-  obs::Recorder::Span read_span(params_.recorder, "sa-read", "sampler",
-                                params_.trace_track);
-  const std::size_t sample_every = std::max<std::size_t>(1, params_.sweeps / 64);
-  std::size_t sweeps_done = 0;
+  SamplerRun run(params_.sinks, "sa-read", schedule.sweeps());
 
   // Incumbent tracking without per-improvement copies: log accepted flips in
   // a journal and remember where in it the best energy occurred. At sweep
@@ -47,7 +43,7 @@ Sample SimulatedAnnealer::anneal_once(const model::QuboModel& qubo, util::Rng& r
   bool improved_this_sweep = false;
 
   for (std::size_t sweep = 0; sweep < schedule.sweeps(); ++sweep) {
-    if (params_.cancel.expired()) break;
+    if (params_.sinks.cancel.expired()) break;
     const double beta = schedule.at(sweep);
     for (std::size_t step = 0; step < n; ++step) {
       const auto v = static_cast<model::VarId>(rng.next_below(n));
@@ -71,15 +67,7 @@ Sample SimulatedAnnealer::anneal_once(const model::QuboModel& qubo, util::Rng& r
     }
     journal.clear();
     best_pos = 0;
-    ++sweeps_done;
-    if (params_.recorder != nullptr &&
-        (sweep % sample_every == 0 || sweep + 1 == schedule.sweeps())) {
-      params_.recorder->sample("incumbent_energy", params_.trace_track,
-                               best_energy);
-    }
-  }
-  if (params_.sweep_counter != nullptr && sweeps_done > 0) {
-    params_.sweep_counter->inc(sweeps_done);
+    run.sweep_done(sweep, best_energy, 0.0);
   }
   return {std::move(best_state), best_energy, 0.0, true};
 }
@@ -91,7 +79,7 @@ SampleSet SimulatedAnnealer::sample(const model::QuboModel& qubo) const {
     util::Rng rng = master.split();
     set.add(anneal_once(qubo, rng));
     // Keep at least one read so callers always get a sample.
-    if (params_.cancel.expired()) break;
+    if (params_.sinks.cancel.expired()) break;
   }
   return set;
 }

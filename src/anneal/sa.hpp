@@ -4,10 +4,8 @@
 #include <cstdint>
 
 #include "anneal/sampleset.hpp"
+#include "anneal/sinks.hpp"
 #include "model/qubo.hpp"
-#include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
-#include "util/cancel.hpp"
 #include "util/rng.hpp"
 
 namespace qulrb::anneal {
@@ -16,15 +14,9 @@ struct SaParams {
   std::size_t sweeps = 1000;
   std::size_t num_reads = 8;  ///< independent restarts, one sample kept per read
   std::uint64_t seed = 1;
-  /// Polled once per sweep (and between reads); when expired the best
-  /// incumbent so far is returned. Inert by default.
-  util::CancelToken cancel;
-  /// Optional trace sink: one span per read plus a sampled incumbent-energy
-  /// timeline. Consumes no RNG; output is bitwise identical with it on/off.
-  obs::Recorder* recorder = nullptr;
-  std::uint32_t trace_track = 0;
-  /// Optional metrics sink: bumped by sweeps executed, once per read.
-  obs::Counter* sweep_counter = nullptr;
+  /// The cancel token is polled once per sweep and between reads; each read
+  /// is one "sa-read" run on the other sinks.
+  SamplerSinks sinks;
 };
 
 /// Plain single-flip Metropolis simulated annealing over a QUBO, with O(deg)

@@ -48,7 +48,6 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
                               const PairMoveIndex* prebuilt_pairs) const {
   const std::size_t n = cqm.num_variables();
   const SamplerSinks& sinks = params_.sinks;
-  const double flight_start_us = sinks.flight_start_us();
   util::require(params_.num_replicas >= 2, "ParallelTempering: need >= 2 replicas");
   util::require(params_.swap_interval >= 1,
                 "ParallelTempering: swap_interval must be >= 1");
@@ -97,9 +96,7 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
 
   if (n == 0) return best;
 
-  obs::Recorder::Span run_span(sinks.recorder, "tempering", "sampler",
-                               sinks.trace_track);
-  const std::size_t sample_every = std::max<std::size_t>(1, params_.sweeps / 64);
+  SamplerRun run_phase(sinks, "tempering", params_.sweeps);
 
   // One ladder position's walk over sweeps [s0, s1): every sample that beat
   // its running best (which starts at the interval's incumbent), in sweep
@@ -114,7 +111,7 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
   auto walk_interval = [&](std::size_t r) {
     // May run on a pool worker; the scopes must live here for profiler
     // samples of this walk to attribute.
-    obs::prof::RidScope rid_scope(sinks.flight_rid);
+    obs::prof::RidScope rid_scope(sinks.flight.rid);
     obs::prof::PhaseScope restart_phase("restart");
     IntervalWalk& out = walks[r];
     out.improvements.clear();
@@ -140,7 +137,6 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
     rngs[r] = rng;
   };
 
-  std::size_t sweeps_done = 0;
   std::vector<std::size_t> cursor(params_.num_replicas);
   for (; s0 < params_.sweeps; s0 = s1) {
     if (sinks.cancel.expired()) break;
@@ -171,13 +167,8 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
           if (candidate.better_than(best)) best = std::move(candidate);
         }
       }
-      if (sinks.recorder != nullptr &&
-          (sweep % sample_every == 0 || sweep + 1 == params_.sweeps)) {
-        sinks.recorder->sample("incumbent_energy", sinks.trace_track,
-                               best.energy + best.violation);
-      }
+      run_phase.sweep_done(sweep, best.energy, best.violation);
     }
-    sweeps_done += swept;
     if (cut_short) break;
 
     if (s1 % params_.swap_interval == 0) {
@@ -192,7 +183,6 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
       }
     }
   }
-  sinks.finish(flight_start_us, sweeps_done);
   return best;
 }
 

@@ -45,9 +45,9 @@ std::unique_ptr<RebalanceSolver> make_solver(const SolverSpec& spec,
     options.sa.seed = spec.seed;
     options.sa.sweeps = spec.sweeps;
     options.sa.num_reads = spec.restarts * 2;
-    options.sa.recorder = spec.recorder;
+    options.sa.sinks.recorder = spec.recorder;
     if (spec.metrics != nullptr) {
-      options.sa.sweep_counter = &spec.metrics->counter(
+      options.sa.sinks.sweep_counter = &spec.metrics->counter(
           "qulrb_solver_sweeps_total",
           "Sampler sweeps executed across all portfolio members");
     }

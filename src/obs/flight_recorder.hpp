@@ -118,11 +118,12 @@ class FlightRecorder {
     s.end.store(ticket + 1, std::memory_order_release);
   }
 
-  /// Closed span [start_us, end_us] (timestamps from this->now_us()).
+  /// Closed span [start_us, end_us] (timestamps from this->now_us()) with
+  /// an optional payload.
   void span(std::uint16_t name, std::uint32_t track, std::uint64_t rid,
-            double start_us, double end_us) noexcept {
+            double start_us, double end_us, double value = 0.0) noexcept {
     record(name, FlightKind::kSpan, track, rid, end_us,
-           end_us > start_us ? end_us - start_us : 0.0, 0.0);
+           end_us > start_us ? end_us - start_us : 0.0, value);
   }
 
   /// Point event stamped now.
@@ -136,32 +137,6 @@ class FlightRecorder {
                double value) noexcept {
     record(name, FlightKind::kCounter, track, rid, now_us(), 0.0, value);
   }
-
-  /// RAII span scope; null-recorder safe (then it is two pointer stores).
-  class Scope {
-   public:
-    Scope(FlightRecorder* recorder, std::uint16_t name, std::uint32_t track,
-          std::uint64_t rid) noexcept
-        : recorder_(recorder), name_(name), track_(track), rid_(rid) {
-      if (recorder_ != nullptr) start_us_ = recorder_->now_us();
-    }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-    ~Scope() { close(); }
-
-    void close() noexcept {
-      if (recorder_ == nullptr) return;
-      recorder_->span(name_, track_, rid_, start_us_, recorder_->now_us());
-      recorder_ = nullptr;
-    }
-
-   private:
-    FlightRecorder* recorder_;
-    std::uint16_t name_;
-    std::uint32_t track_;
-    std::uint64_t rid_;
-    double start_us_ = 0.0;
-  };
 
   /// Consistent copies of every intact record with t_us >= cutoff_us,
   /// sorted by timestamp then ticket. window_us <= 0 means "everything
@@ -230,6 +205,15 @@ class FlightRecorder {
   std::atomic<std::uint64_t> head_{0};
   mutable std::mutex names_mutex_;
   std::vector<std::string> names_;
+};
+
+/// Where a phase also lands in a flight ring: the ring (nullptr = nowhere),
+/// the interned record name and the owning request id. Recorder::Span takes
+/// one and writes a single kSpan record when it closes.
+struct FlightTag {
+  FlightRecorder* ring = nullptr;
+  std::uint16_t name = 0;
+  std::uint64_t rid = 0;
 };
 
 /// Perfetto/Chrome-trace JSON for the last `window_s` seconds of the ring

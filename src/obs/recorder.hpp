@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "obs/clock.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/phase.hpp"
 
 namespace qulrb::obs {
@@ -159,25 +160,29 @@ class Recorder {
     return annotations_;
   }
 
-  /// RAII phase scope: records a span from construction to destruction (or
-  /// close()). Safe to construct with a null recorder — then it does
-  /// nothing, which is how the zero-cost disabled path reads at call sites:
+  /// RAII phase scope, the one object that marks a phase. For its whole life
+  /// it pushes `name` onto the calling thread's prof phase stack, whether or
+  /// not anything is attached, so CPU samples attribute the same way with
+  /// tracing on or off. With a recorder it also records the span on
+  /// `track`; with a tagged flight ring it records one flight span whose
+  /// value is the payload given to close() (the samplers pass their executed
+  /// sweeps). Each attached sink costs one pointer test when absent:
   ///
   ///   obs::Recorder::Span phase(params.recorder, "presolve", "hybrid", 0);
   ///
-  /// When a recorder is attached the span also pushes its name onto the
-  /// thread's prof phase stack, so CPU samples taken inside a traced phase
-  /// are attributed to it without separate instrumentation. The disabled
-  /// path stays one pointer test (always-on serving phases come from
-  /// explicit prof::PhaseScope sites in the solvers instead).
+  /// Labels and names must be static strings.
   class Span {
    public:
     Span(Recorder* recorder, const char* name, const char* category,
-         std::uint32_t track) noexcept
-        : recorder_(recorder), name_(name), category_(category), track_(track) {
-      if (recorder_ != nullptr) {
-        start_us_ = recorder_->now_us();
-        prof::push_phase(name_);
+         std::uint32_t track, FlightTag flight = {}) noexcept
+        : recorder_(recorder),
+          flight_(flight),
+          name_(name),
+          category_(category),
+          track_(track) {
+      prof::push_phase(name_);
+      if (recorder_ != nullptr || flight_.ring != nullptr) {
+        start_us_ = clock::strict_us();
       }
     }
 
@@ -186,24 +191,33 @@ class Recorder {
 
     ~Span() { close(); }
 
-    void close() noexcept {
-      if (recorder_ == nullptr) return;
+    /// Ends the phase early; later calls (and the destructor) do nothing.
+    void close(double payload = 0.0) noexcept {
+      if (!open_) return;
+      open_ = false;
       prof::pop_phase();
+      if (recorder_ == nullptr && flight_.ring == nullptr) return;
+      const double end_us = clock::strict_us();
+      if (flight_.ring != nullptr) {
+        flight_.ring->span(flight_.name, track_, flight_.rid, start_us_,
+                           end_us, payload);
+      }
+      if (recorder_ == nullptr) return;
       try {
-        recorder_->span(name_, category_, track_, start_us_,
-                        recorder_->now_us());
+        recorder_->span(name_, category_, track_, start_us_, end_us);
       } catch (...) {
         // Allocation failure while tracing must not take down the solve.
       }
-      recorder_ = nullptr;
     }
 
    private:
     Recorder* recorder_;
+    FlightTag flight_;
     const char* name_;
     const char* category_;
     std::uint32_t track_;
     double start_us_ = 0.0;
+    bool open_ = true;
   };
 
  private:

@@ -59,8 +59,8 @@ TEST(Cancel, PreCancelledSaReturnsImmediately) {
   anneal::SaParams params;
   params.sweeps = 2'000'000;  // would run for minutes if the poll were dead
   params.num_reads = 4;
-  params.cancel = util::CancelToken::cancellable();
-  params.cancel.cancel();
+  params.sinks.cancel = util::CancelToken::cancellable();
+  params.sinks.cancel.cancel();
   util::WallTimer timer;
   const anneal::SampleSet samples = anneal::SimulatedAnnealer(params).sample(qubo);
   EXPECT_LT(timer.elapsed_ms(), 2000.0);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -12,12 +13,14 @@
 #include "anneal/hybrid.hpp"
 #include "io/json_value.hpp"
 #include "lrp/cqm_builder.hpp"
+#include "lrp/kselect.hpp"
 #include "lrp/metrics.hpp"
 #include "lrp/problem.hpp"
 #include "lrp/registry.hpp"
 #include "obs/convergence.hpp"
 #include "obs/event_log.hpp"
 #include "obs/recorder.hpp"
+#include "workloads/samoa.hpp"
 
 namespace qulrb::obs {
 namespace {
@@ -266,6 +269,55 @@ TEST(Recorder, RegistrySolveRecordsEveryLayer) {
   EXPECT_EQ(repairs, 1u);
   const std::multiset<double> expected = {1.0, 2.0, 3.0};
   EXPECT_EQ(restart_tids, expected);
+}
+
+// Every portfolio member, the tempered restart included, records the paired
+// energy/violation timeline, so the analysis sees points from every track.
+TEST(Convergence, TemperedRestartTrackContributesPoints) {
+  const workloads::SamoaWorkload workload = workloads::make_samoa_workload();
+  const lrp::KSelection ks = lrp::select_k(workload.problem);
+  struct Case {
+    lrp::CqmVariant variant;
+    std::int64_t k;
+  };
+  for (const Case c : {Case{lrp::CqmVariant::kReduced, ks.k1},
+                       Case{lrp::CqmVariant::kFull, ks.k2}}) {
+    SCOPED_TRACE(c.variant == lrp::CqmVariant::kReduced ? "Q_CQM1_k1"
+                                                         : "Q_CQM2_k2");
+    const lrp::LrpCqm model =
+        lrp::build_lrp_cqm(workload.problem, c.variant, c.k, {});
+    Recorder rec("table5");
+    anneal::HybridSolverParams params;
+    params.seed = 1;
+    params.sweeps = 40;
+    params.num_restarts = 3;
+    params.threads = 1;
+    params.recorder = &rec;
+    anneal::HybridCqmSolver(params).solve(model.cqm());
+
+    bool tempered = false;
+    for (const auto& [track, label] : rec.track_names()) {
+      if (label.find("(tempering)") != std::string::npos) tempered = true;
+    }
+    ASSERT_TRUE(tempered);
+
+    std::map<std::uint32_t, std::pair<std::size_t, std::size_t>> points;
+    for (const TraceSample& s : rec.samples()) {
+      if (s.series == "incumbent_energy") ++points[s.track].first;
+      if (s.series == "incumbent_violation") ++points[s.track].second;
+    }
+    ASSERT_EQ(points.size(), params.num_restarts);
+    std::size_t total = 0;
+    for (const auto& [track, counts] : points) {
+      SCOPED_TRACE("track " + std::to_string(track));
+      EXPECT_GT(counts.first, 0u);
+      EXPECT_EQ(counts.second, counts.first);
+      total += counts.first;
+    }
+    const ConvergenceReport report = ConvergenceDiagnostics().analyze(rec);
+    EXPECT_EQ(report.tracks_seen, params.num_restarts);
+    EXPECT_EQ(report.samples_seen, total);
+  }
 }
 
 TEST(Convergence, ObjectiveTargetMapsImbalanceConservatively) {

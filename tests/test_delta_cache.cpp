@@ -90,55 +90,6 @@ State random_state(util::Rng& rng, std::size_t n) {
   return s;
 }
 
-/// Drive a CqmDeltaCache through `steps` random flips with periodic penalty
-/// swaps, checking every cached entry against a fresh recompute each step.
-void drive_and_check(const CqmModel& cqm, util::Rng& rng, std::size_t steps) {
-  const std::size_t n = cqm.num_variables();
-  CqmDeltaCache cache(cqm, random_state(rng, n),
-                      random_penalties(rng, cqm.num_constraints()));
-  for (std::size_t step = 0; step < steps; ++step) {
-    if (step % 97 == 13) {
-      cache.set_penalties(random_penalties(rng, cqm.num_constraints()));
-    }
-    cache.apply_flip(static_cast<VarId>(rng.next_below(n)));
-    // Checking all n entries every step keeps the cost O(n * steps), still
-    // trivial at these sizes, and catches stale neighbours immediately.
-    for (std::size_t u = 0; u < n; ++u) {
-      const auto cached = cache.cached_delta(static_cast<VarId>(u));
-      const auto fresh = cache.fresh_delta(static_cast<VarId>(u));
-      ASSERT_LT(rel_err(cached.objective, fresh.objective), kRelTol)
-          << "objective entry " << u << " stale at step " << step;
-      ASSERT_LT(rel_err(cached.penalty, fresh.penalty), kRelTol)
-          << "penalty entry " << u << " stale at step " << step;
-    }
-  }
-}
-
-// ------------------------------------------ cached vs fresh: random CQMs ---
-
-TEST(CqmDeltaCacheProperty, MatchesFreshDeltasOnRandomCqms) {
-  util::Rng rng(42);
-  // 20 models x 500 steps = 10k apply_flip/set_penalties interleavings.
-  for (int rep = 0; rep < 20; ++rep) {
-    const std::size_t n = 6 + rng.next_below(10);
-    const CqmModel cqm = random_cqm(rng, n);
-    drive_and_check(cqm, rng, 500);
-  }
-}
-
-TEST(CqmDeltaCacheProperty, MatchesFreshDeltasOnLrpShapes) {
-  // The two paper formulations exercise the degenerate shapes random models
-  // miss: Q_CQM1's all-variable migration bound and Q_CQM2's equality rows.
-  util::Rng rng(7);
-  const lrp::LrpProblem problem =
-      lrp::LrpProblem::uniform({3.0, 1.0, 2.5, 0.5}, 5);
-  for (const auto variant : {lrp::CqmVariant::kReduced, lrp::CqmVariant::kFull}) {
-    const auto built =
-        lrp::build_lrp_cqm(problem, variant, problem.total_tasks(), {});
-    drive_and_check(built.cqm(), rng, 2500);
-  }
-}
-
 // --------------------------------------------- flip/pair deltas vs brute ---
 
 TEST(CqmIncrementalState, FlipAndPairDeltasMatchBruteForce) {

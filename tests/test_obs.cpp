@@ -357,11 +357,52 @@ TEST(Recorder, OwnedSamplesExportAsCounters) {
   EXPECT_TRUE(saw_suffixed);
 }
 
-TEST(Recorder, NullRecorderSpansAreInert) {
-  // The null-object discipline of the disabled path: no recorder, no effect.
-  Recorder::Span outer(nullptr, "never", "test", 0);
-  outer.close();
-  SUCCEED();
+TEST(Recorder, SpanPushesProfilerLabelWithOrWithoutRecorder) {
+  // Tracing must not change the profile: a phase carries the same profiler
+  // label whether or not a recorder is attached, and only the trace span
+  // depends on the recorder.
+  const int depth = prof::thread_phase_state().depth.load();
+  {
+    prof::PhaseScope outer("outer");
+    Recorder::Span untraced(nullptr, "session-retarget", "test", 0);
+    EXPECT_STREQ(prof::current_phase(), "session-retarget");
+    untraced.close();
+    EXPECT_STREQ(prof::current_phase(), "outer");
+    untraced.close();  // a second close pops nothing
+    EXPECT_STREQ(prof::current_phase(), "outer");
+  }
+  EXPECT_EQ(prof::thread_phase_state().depth.load(), depth);
+
+  Recorder rec("traced");
+  {
+    Recorder::Span traced(&rec, "session-retarget", "test", 0);
+    EXPECT_STREQ(prof::current_phase(), "session-retarget");
+  }
+  EXPECT_EQ(prof::thread_phase_state().depth.load(), depth);
+  ASSERT_EQ(rec.spans().size(), 1u);
+  EXPECT_EQ(rec.spans()[0].name, "session-retarget");
+  EXPECT_TRUE(rec.samples().empty());
+}
+
+TEST(Recorder, SpanWritesFlightRecordWithPayload) {
+  FlightRecorder flight(64);
+  const std::uint16_t name = flight.intern("anneal");
+  {
+    Recorder::Span untagged(nullptr, "anneal", "test", 3);
+  }
+  EXPECT_EQ(flight.total_records(), 0u);
+  {
+    Recorder::Span tagged(nullptr, "anneal", "test", 3, {&flight, name, 42});
+    tagged.close(17.0);
+  }
+  const auto records = flight.snapshot(0.0);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].kind, FlightKind::kSpan);
+  EXPECT_EQ(records[0].name, name);
+  EXPECT_EQ(records[0].track, 3u);
+  EXPECT_EQ(records[0].rid, 42u);
+  EXPECT_EQ(records[0].value, 17.0);
+  EXPECT_GT(records[0].dur_us, 0.0);
 }
 
 // ---------------------------------------------------------- determinism ----
@@ -388,8 +429,8 @@ TEST(Recorder, SamplerOutputBitwiseIdenticalWithRecordingOn) {
   Recorder rec("determinism");
   obs::Counter sweeps;
   anneal::SaParams recorded = plain;
-  recorded.recorder = &rec;
-  recorded.sweep_counter = &sweeps;
+  recorded.sinks.recorder = &rec;
+  recorded.sinks.sweep_counter = &sweeps;
   const anneal::SampleSet traced =
       anneal::SimulatedAnnealer(recorded).sample(qubo);
 
