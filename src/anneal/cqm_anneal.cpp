@@ -16,7 +16,7 @@ using model::VarId;
 
 CqmIncrementalState::CqmIncrementalState(const CqmModel& cqm, model::State initial,
                                          std::vector<double> penalties)
-    : cqm_(&cqm), state_(std::move(initial)) {
+    : state_(std::move(initial)) {
   util::require(state_.size() == cqm.num_variables(),
                 "CqmIncrementalState: state size mismatch");
   util::require(penalties.size() == cqm.num_constraints(),
@@ -25,9 +25,7 @@ CqmIncrementalState::CqmIncrementalState(const CqmModel& cqm, model::State initi
   // Bind the model's flat kernel views once so flip paths are allocation-free
   // contiguous scans.
   group_kernel_ = &cqm.group_kernel();
-  group_inc_ = &cqm.group_incidence();
   con_inc_ = &cqm.constraint_incidence();
-  quad_inc_ = &cqm.quadratic_incidence();
   linear_ = cqm.objective_linear();
   group_weights_ = cqm.group_weight_flat();
 
@@ -36,9 +34,6 @@ CqmIncrementalState::CqmIncrementalState(const CqmModel& cqm, model::State initi
   objective_ = cqm.objective_offset();
   for (VarId v = 0; v < linear_.size(); ++v) {
     if (state_[v]) objective_ += linear_[v];
-  }
-  for (const auto& q : cqm.objective_quadratic()) {
-    if (state_[q.i] && state_[q.j]) objective_ += q.coeff;
   }
   for (std::size_t g = 0; g < groups.size(); ++g) {
     group_values_[g] = groups[g].expr.evaluate(state_);
@@ -80,10 +75,6 @@ CqmIncrementalState::FlipDelta CqmIncrementalState::flip_delta_parts(
   const double sign = state_[v] ? -1.0 : 1.0;
   FlipDelta delta;
   double obj = sign * linear_[v];
-
-  for (const auto& nb : (*quad_inc_)[v]) {
-    if (state_[nb.other]) obj += sign * nb.coeff;
-  }
   for (const auto& t : (*group_kernel_)[v]) {
     obj += sign * t.alpha * group_values_[t.index] + t.beta;
   }
@@ -106,26 +97,11 @@ CqmIncrementalState::FlipDelta CqmIncrementalState::pair_delta_parts(
   FlipDelta delta;
   double obj = sign_a * linear_[a] + sign_b * linear_[b];
 
-  // Quadratic couplers: both rows at current state; the (a, b) coupler (if
-  // any) appears once in each row and needs the joint product change.
-  for (const auto& nb : (*quad_inc_)[a]) {
-    if (nb.other == b) {
-      const double before = state_[a] && state_[b] ? 1.0 : 0.0;
-      const double after = !state_[a] && !state_[b] ? 1.0 : 0.0;
-      obj += nb.coeff * (after - before);
-    } else if (state_[nb.other]) {
-      obj += sign_a * nb.coeff;
-    }
-  }
-  for (const auto& nb : (*quad_inc_)[b]) {
-    if (nb.other != a && state_[nb.other]) obj += sign_b * nb.coeff;
-  }
-
-  // Squared groups: merge the two sorted incidence rows; a group containing
+  // Squared groups: merge the two sorted kernel rows; a group containing
   // both variables sees the combined step d = s_a*c_a + s_b*c_b.
   {
-    const auto row_a = (*group_inc_)[a];
-    const auto row_b = (*group_inc_)[b];
+    const auto row_a = (*group_kernel_)[a];
+    const auto row_b = (*group_kernel_)[b];
     std::size_t ia = 0;
     std::size_t ib = 0;
     while (ia < row_a.size() || ib < row_b.size()) {
@@ -190,10 +166,6 @@ void CqmIncrementalState::apply_flip(VarId v) noexcept {
   const double sign = state_[v] ? -1.0 : 1.0;
   objective_ += sign * linear_[v];
 
-  for (const auto& nb : (*quad_inc_)[v]) {
-    if (state_[nb.other]) objective_ += sign * nb.coeff;
-  }
-
   for (const auto& t : (*group_kernel_)[v]) {
     double& gv = group_values_[t.index];
     objective_ += sign * t.alpha * gv + t.beta;
@@ -248,16 +220,6 @@ bool CqmIncrementalState::pair_member_set(std::size_t c, std::size_t i) const no
 
 std::size_t CqmIncrementalState::pair_set_count(std::size_t c) const noexcept {
   return pairs_->set_count(*this, c);
-}
-
-void CqmIncrementalState::set_penalties(std::vector<double> penalties) {
-  util::require(penalties.size() == cqm_->num_constraints(),
-                "CqmIncrementalState: penalty count mismatch");
-  penalty_ = 0.0;
-  for (std::size_t c = 0; c < cons_.size(); ++c) {
-    cons_[c].penalty = penalties[c];
-    penalty_ += penalty_of(cons_[c], cons_[c].activity);
-  }
 }
 
 PairMoveIndex PairMoveIndex::build(const CqmModel& cqm) {

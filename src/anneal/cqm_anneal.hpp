@@ -40,10 +40,8 @@ class CqmIncrementalState {
 
   std::size_t num_variables() const noexcept { return state_.size(); }
   const model::State& state() const noexcept { return state_; }
-  const model::CqmModel& cqm() const noexcept { return *cqm_; }
 
   double objective() const noexcept { return objective_; }
-  double penalty_energy() const noexcept { return penalty_; }
   double total_energy() const noexcept { return objective_ + penalty_; }
   double total_violation() const noexcept;
   bool feasible(double tol = 1e-9) const noexcept;
@@ -64,9 +62,9 @@ class CqmIncrementalState {
   }
 
   /// Exact combined energy change of flipping variables a and b together
-  /// (a != b), evaluated without mutating the state: shared squared groups,
-  /// shared constraints, and the (a, b) objective coupler are corrected via
-  /// a merge walk over the two sorted incidence rows. Replaces the
+  /// (a != b), evaluated without mutating the state: shared squared groups
+  /// and shared constraints are corrected via a merge walk over the two
+  /// sorted group-kernel rows and the two constraint rows. Replaces the
   /// apply/evaluate/revert churn pair-move proposals otherwise need.
   FlipDelta pair_delta_parts(model::VarId a, model::VarId b) const noexcept;
 
@@ -81,16 +79,11 @@ class CqmIncrementalState {
   bool pair_member_set(std::size_t c, std::size_t i) const noexcept;
   std::size_t pair_set_count(std::size_t c) const noexcept;
 
-  /// Replace the penalty weights and recompute the penalty energy (running
-  /// activities are unaffected). Used by adaptive penalty loops.
-  void set_penalties(std::vector<double> penalties);
-
   std::size_t num_constraints() const noexcept { return cons_.size(); }
   double constraint_violation(std::size_t c) const noexcept {
     return model::CqmModel::violation_of(cons_[c].sense, cons_[c].activity,
                                          cons_[c].rhs);
   }
-  std::span<const double> group_values() const noexcept { return group_values_; }
 
  private:
   /// Everything the penalty kernel needs for one constraint, packed so each
@@ -107,7 +100,6 @@ class CqmIncrementalState {
            model::CqmModel::violation_of(slot.sense, activity, slot.rhs);
   }
 
-  const model::CqmModel* cqm_;
   model::State state_;
   std::vector<double> group_values_;  ///< expr_g(x) including its constant
   std::vector<ConSlot> cons_;
@@ -118,9 +110,7 @@ class CqmIncrementalState {
   std::span<const double> linear_;
   std::span<const double> group_weights_;
   const model::CsrRows<model::CqmModel::GroupKernelTerm>* group_kernel_ = nullptr;
-  const model::CsrRows<model::CqmModel::Incidence>* group_inc_ = nullptr;
   const model::CsrRows<model::CqmModel::Incidence>* con_inc_ = nullptr;
-  const model::CsrRows<model::CqmModel::QuadNeighbor>* quad_inc_ = nullptr;
 
   // Pair-class occupancy of the bound index (empty while unbound). Per walk,
   // never shared, so results do not depend on the thread count.

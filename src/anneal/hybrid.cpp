@@ -44,9 +44,6 @@ constexpr double kSimulatedQpuAccessMs = 32.0;
 double objective_gradient_scale(const CqmModel& cqm) {
   double scale = 0.0;
   for (double a : cqm.objective_linear()) scale = std::max(scale, std::abs(a));
-  for (const auto& q : cqm.objective_quadratic()) {
-    scale = std::max(scale, std::abs(q.coeff));
-  }
   for (const auto& g : cqm.squared_groups()) {
     const double span =
         std::max(std::abs(g.expr.min_value()), std::abs(g.expr.max_value()));
@@ -252,7 +249,8 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
   // With few enough free variables, visiting every assignment via a Gray-code
   // walk (one incremental flip per state) costs less than a single annealing
   // schedule and returns the provable CQM optimum. Sampling tiny models is
-  // all overhead and no guarantee.
+  // all overhead and no guarantee. The walk is one run on its own claimed
+  // track, and records the incumbent it returns once, when it ends.
   std::vector<VarId> free_vars;
   free_vars.reserve(cqm.num_variables());
   for (std::size_t v = 0; v < cqm.num_variables(); ++v) {
@@ -260,7 +258,10 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
   }
   if (params_.exhaustive_max_vars > 0 && free_vars.size() < 64 &&
       free_vars.size() <= params_.exhaustive_max_vars) {
-    obs::Recorder::Span enum_span(rec, "exhaustive-enum", "hybrid", 0);
+    SamplerSinks sinks;
+    sinks.recorder = rec;
+    if (rec != nullptr) sinks.trace_track = rec->claim_tracks(1);
+    SamplerRun run(sinks, "exhaustive-enum", 1);
     model::State base(cqm.num_variables(), 0);
     apply_fixings(base, pre);
     CqmIncrementalState walk(cqm, base,
@@ -301,7 +302,8 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     result.samples.add(s);
     result.best = std::move(s);
     result.stats.restarts_used = 1;
-    enum_span.close();
+    run.sweep_done(0, result.best.energy, result.best.violation);
+    run.close();
     if (rec != nullptr) {
       record_violation_attribution(*rec, cqm, result.best.state);
     }
@@ -482,10 +484,11 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     rounds_by_restart[r] = rounds;
   };
 
-  // One pool of `threads` workers runs the whole portfolio: one task per
-  // restart, and one task per tempering replica per swap interval. The
-  // tempered restart, the critical path, is claimed first. Serial solves
-  // never build a pool.
+  // One pool runs the whole portfolio: one task per restart, and one task
+  // per tempering replica per swap interval. parallel_for runs tasks on the
+  // calling thread too, so the pool gets one worker fewer than the
+  // `threads` that may run at once. The tempered restart, the critical
+  // path, is claimed first. Serial solves never build a pool.
   const std::size_t threads = params_.threads == 0
                                   ? std::max(1u, std::thread::hardware_concurrency())
                                   : params_.threads;
@@ -497,7 +500,8 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     // The model's lazily built incidence caches are written on first use;
     // build them here so no two restarts race to do it.
     cqm.build_incidence();
-    util::ThreadPool workers(std::min(threads, parallel_tasks));
+    // At least one worker: ThreadPool(0) would mean every hardware thread.
+    util::ThreadPool workers(std::min(threads, parallel_tasks) - 1);
     pool = &workers;
     const std::size_t first = tempered_last ? total_restarts - 1 : 0;
     workers.parallel_for(total_restarts, [&](std::size_t i) {

@@ -21,8 +21,9 @@ struct HybridSolverParams {
   /// infeasible, weights on violated constraints are multiplied and the
   /// anneal resumes from the best state.
   std::size_t max_penalty_rounds = 4;
-  /// Worker count; 0 = all hardware threads. The whole portfolio shares one
-  /// pool of this many workers, which the calling thread joins while it
+  /// Threads that may run at once, the calling thread included; 0 = all
+  /// hardware threads. The whole portfolio shares one pool of this many
+  /// threads less one, and the calling thread works beside them while it
   /// waits: one task per restart, and one task per tempering replica per swap
   /// interval. 1 runs everything inline on the calling thread and builds no
   /// pool. Every restart and replica draws from its own pre-split RNG stream

@@ -16,9 +16,8 @@ std::string to_string(Sense s) {
   return "?";
 }
 
-VarId CqmModel::add_variable(std::string name) {
-  const auto id = static_cast<VarId>(var_names_.size());
-  var_names_.push_back(std::move(name));
+VarId CqmModel::add_variable() {
+  const auto id = static_cast<VarId>(linear_.size());
   linear_.push_back(0.0);
   invalidate_incidence();
   return id;
@@ -27,18 +26,6 @@ VarId CqmModel::add_variable(std::string name) {
 void CqmModel::add_objective_linear(VarId v, double coeff) {
   util::require(v < num_variables(), "CqmModel: objective variable out of range");
   linear_[v] += coeff;
-}
-
-void CqmModel::add_objective_quadratic(VarId i, VarId j, double coeff) {
-  util::require(i < num_variables() && j < num_variables(),
-                "CqmModel: objective variable out of range");
-  if (i == j) {
-    linear_[i] += coeff;  // x^2 == x
-    return;
-  }
-  if (i > j) std::swap(i, j);
-  quadratic_.push_back({i, j, coeff});
-  invalidate_incidence();
 }
 
 std::size_t CqmModel::add_squared_group(LinearExpr expr, double weight) {
@@ -99,11 +86,9 @@ bool CqmModel::reset_group_expr(std::size_t g, LinearExpr expr) {
   const auto gid = static_cast<std::uint32_t>(g);
   const double w = group.weight;
   for (const auto& t : group.expr.terms()) {
-    auto* inc = find_in_row(group_incidence_.mutable_row(t.var), gid);
     auto* ker = find_in_row(group_kernel_.mutable_row(t.var), gid);
-    util::ensure(inc != nullptr && ker != nullptr,
+    util::ensure(ker != nullptr,
                  "CqmModel: incidence cache out of sync with group pattern");
-    inc->coeff = t.coeff;
     ker->alpha = 2.0 * w * t.coeff;
     ker->beta = w * t.coeff * t.coeff;
     ker->coeff = t.coeff;
@@ -129,7 +114,6 @@ bool CqmModel::reset_constraint(std::size_t c, LinearExpr lhs, double rhs) {
                  "CqmModel: incidence cache out of sync with constraint pattern");
     inc->coeff = t.coeff;
   }
-  rhs_flat_[c] = rhs;
   return true;
 }
 
@@ -149,20 +133,11 @@ double CqmModel::objective_value(std::span<const std::uint8_t> state) const {
   for (std::size_t i = 0; i < linear_.size(); ++i) {
     if (state[i]) e += linear_[i];
   }
-  for (const auto& q : quadratic_) {
-    if (state[q.i] && state[q.j]) e += q.coeff;
-  }
   for (const auto& g : groups_) {
     const double v = g.expr.evaluate(state);
     e += g.weight * v * v;
   }
   return e;
-}
-
-double CqmModel::constraint_activity(std::size_t c,
-                                     std::span<const std::uint8_t> state) const {
-  util::require(c < constraints_.size(), "CqmModel: constraint index out of range");
-  return constraints_[c].lhs.evaluate(state);
 }
 
 double CqmModel::constraint_violation(std::size_t c,
@@ -193,13 +168,6 @@ void CqmModel::build_incidence() const {
   // callbacks iterate those containers in index order (CsrRows::build keeps
   // per-row emission order). This ordering is what makes the flip kernels
   // and pair-move merges deterministic across platforms.
-  group_incidence_ = CsrRows<Incidence>::build(n, [&](auto&& emit) {
-    for (std::size_t g = 0; g < groups_.size(); ++g) {
-      for (const auto& t : groups_[g].expr.terms()) {
-        emit(t.var, Incidence{static_cast<std::uint32_t>(g), t.coeff});
-      }
-    }
-  });
   group_kernel_ = CsrRows<GroupKernelTerm>::build(n, [&](auto&& emit) {
     for (std::size_t g = 0; g < groups_.size(); ++g) {
       const double w = groups_[g].weight;
@@ -217,24 +185,6 @@ void CqmModel::build_incidence() const {
       }
     }
   });
-  // Quadratic rows ascending by `other`: emit from terms sorted by (i, j).
-  std::vector<QuadraticTerm> sorted = quadratic_;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const QuadraticTerm& a, const QuadraticTerm& b) {
-              return a.i != b.i ? a.i < b.i : a.j < b.j;
-            });
-  quadratic_incidence_ = CsrRows<QuadNeighbor>::build(n, [&](auto&& emit) {
-    for (const auto& q : sorted) {
-      emit(q.i, QuadNeighbor{q.j, q.coeff});
-      emit(q.j, QuadNeighbor{q.i, q.coeff});
-    }
-  });
-  sense_flat_.resize(constraints_.size());
-  rhs_flat_.resize(constraints_.size());
-  for (std::size_t c = 0; c < constraints_.size(); ++c) {
-    sense_flat_[c] = constraints_[c].sense;
-    rhs_flat_[c] = constraints_[c].rhs;
-  }
   group_weight_flat_.resize(groups_.size());
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     group_weight_flat_[g] = groups_[g].weight;
@@ -242,34 +192,14 @@ void CqmModel::build_incidence() const {
   incidence_valid_ = true;
 }
 
-const CsrRows<CqmModel::Incidence>& CqmModel::group_incidence() const {
-  if (!incidence_valid_) build_incidence();
-  return group_incidence_;
-}
-
 const CsrRows<CqmModel::Incidence>& CqmModel::constraint_incidence() const {
   if (!incidence_valid_) build_incidence();
   return constraint_incidence_;
 }
 
-const CsrRows<CqmModel::QuadNeighbor>& CqmModel::quadratic_incidence() const {
-  if (!incidence_valid_) build_incidence();
-  return quadratic_incidence_;
-}
-
 const CsrRows<CqmModel::GroupKernelTerm>& CqmModel::group_kernel() const {
   if (!incidence_valid_) build_incidence();
   return group_kernel_;
-}
-
-std::span<const Sense> CqmModel::constraint_sense_flat() const {
-  if (!incidence_valid_) build_incidence();
-  return sense_flat_;
-}
-
-std::span<const double> CqmModel::constraint_rhs_flat() const {
-  if (!incidence_valid_) build_incidence();
-  return rhs_flat_;
 }
 
 std::span<const double> CqmModel::group_weight_flat() const {
@@ -280,7 +210,6 @@ std::span<const double> CqmModel::group_weight_flat() const {
 double CqmModel::objective_scale() const {
   double scale = 0.0;
   for (double a : linear_) scale = std::max(scale, std::abs(a));
-  for (const auto& q : quadratic_) scale = std::max(scale, std::abs(q.coeff));
   for (const auto& g : groups_) {
     const double span =
         std::max(std::abs(g.expr.min_value()), std::abs(g.expr.max_value()));

@@ -15,9 +15,10 @@ enum class Sense : std::uint8_t { LE, GE, EQ };
 std::string to_string(Sense s);
 
 /// Constrained Quadratic Model over binary variables, mirroring the model
-/// class consumed by D-Wave's Leap hybrid CQM solver:
+/// class consumed by D-Wave's Leap hybrid CQM solver, restricted to the
+/// objective form the LRP models use:
 ///
-///   minimize   f(x) = linear + quadratic + sum_g weight_g * (expr_g(x))^2
+///   minimize   f(x) = offset + linear + sum_g weight_g * (expr_g(x))^2
 ///   subject to lhs_c(x) {<=,>=,==} rhs_c   for every constraint c
 ///
 /// The *squared-linear-group* objective form is first-class (rather than
@@ -25,7 +26,9 @@ std::string to_string(Sense s);
 /// group's running value and evaluate single-bit flips in O(groups touched).
 /// The LRP objective  sum_i (L'_i - L_avg)^2  uses exactly this form; at
 /// M = 64 processes its dense quadratic expansion would hold ~10^7 terms,
-/// while the grouped form holds ~M^2 |C| linear terms.
+/// while the grouped form holds ~M^2 |C| linear terms. A pairwise coupling
+/// c * x_i * x_j is still expressible: it equals the group
+/// (c/2) * (x_i + x_j)^2 minus (c/2) * x_i and (c/2) * x_j.
 class CqmModel {
  public:
   struct Constraint {
@@ -40,21 +43,14 @@ class CqmModel {
     double weight;
   };
 
-  struct QuadraticTerm {
-    VarId i, j;  ///< i < j
-    double coeff;
-  };
-
   CqmModel() = default;
 
   // --- construction -------------------------------------------------------
 
-  VarId add_variable(std::string name = {});
-  std::size_t num_variables() const noexcept { return var_names_.size(); }
-  const std::string& variable_name(VarId v) const { return var_names_.at(v); }
+  VarId add_variable();
+  std::size_t num_variables() const noexcept { return linear_.size(); }
 
   void add_objective_linear(VarId v, double coeff);
-  void add_objective_quadratic(VarId i, VarId j, double coeff);
   void add_objective_offset(double c) noexcept { objective_offset_ += c; }
 
   /// Adds weight * (expr)^2 to the objective. The expression is normalized.
@@ -86,9 +82,6 @@ class CqmModel {
 
   std::span<const Constraint> constraints() const noexcept { return constraints_; }
   std::span<const SquaredGroup> squared_groups() const noexcept { return groups_; }
-  std::span<const QuadraticTerm> objective_quadratic() const noexcept {
-    return quadratic_;
-  }
   std::span<const double> objective_linear() const noexcept { return linear_; }
   double objective_offset() const noexcept { return objective_offset_; }
 
@@ -99,9 +92,6 @@ class CqmModel {
   // --- evaluation ---------------------------------------------------------
 
   double objective_value(std::span<const std::uint8_t> state) const;
-
-  /// lhs value of constraint c under the assignment.
-  double constraint_activity(std::size_t c, std::span<const std::uint8_t> state) const;
 
   /// Non-negative amount by which constraint c is violated (0 if satisfied).
   double constraint_violation(std::size_t c, std::span<const std::uint8_t> state) const;
@@ -125,32 +115,24 @@ class CqmModel {
   // --- incidence (solver support) -----------------------------------------
 
   struct Incidence {
-    std::uint32_t index;  ///< group or constraint index
+    std::uint32_t index;  ///< constraint index
     double coeff;         ///< this variable's coefficient there
   };
 
-  /// For each variable, the squared groups it appears in, ascending by group
-  /// index. Flat CSR; built lazily.
-  const CsrRows<Incidence>& group_incidence() const;
   /// For each variable, the constraints it appears in, ascending by
   /// constraint index. Flat CSR; built lazily.
   const CsrRows<Incidence>& constraint_incidence() const;
-  /// For each variable, objective quadratic neighbours, ascending by `other`.
-  /// Flat CSR; built lazily.
-  struct QuadNeighbor {
-    VarId other;
-    double coeff;
-  };
-  const CsrRows<QuadNeighbor>& quadratic_incidence() const;
 
   // --- flip kernel (solver hot path) ---------------------------------------
 
-  /// Per-variable squared-group incidence with the flip arithmetic
-  /// pre-baked: flipping v with sign s changes group g's contribution by
+  /// For each variable, the squared groups it appears in, ascending by group
+  /// index, with the flip arithmetic pre-baked: flipping v with sign s
+  /// changes group g's contribution by
   ///   w * ((G + s*a)^2 - G^2) = s * alpha * G + beta,
-  /// with alpha = 2*w*a and beta = w*a^2. Stored alongside group_incidence()
-  /// so the annealing kernel reads one contiguous row per variable and does
-  /// one fused multiply-add per incidence.
+  /// with alpha = 2*w*a and beta = w*a^2, so the annealing kernel reads one
+  /// contiguous row per variable and does one fused multiply-add per
+  /// incidence. Pair moves merge two rows on `index` and use `coeff`. Flat
+  /// CSR; built lazily.
   struct GroupKernelTerm {
     std::uint32_t index;  ///< group index
     double alpha;         ///< 2 * weight * coeff
@@ -159,12 +141,9 @@ class CqmModel {
   };
   const CsrRows<GroupKernelTerm>& group_kernel() const;
 
-  /// Constraint senses / right-hand sides / group weights as tight flat
-  /// arrays (indexable by constraint or group id) so penalty and pair-move
-  /// evaluation never strides over the full Constraint / SquaredGroup structs
-  /// (LinearExpr + label) in the hot loop.
-  std::span<const Sense> constraint_sense_flat() const;
-  std::span<const double> constraint_rhs_flat() const;
+  /// Group weights as a tight flat array (indexable by group id) so
+  /// pair-move evaluation never strides over the full SquaredGroup structs
+  /// (LinearExpr) in the hot loop.
   std::span<const double> group_weight_flat() const;
 
   /// Builds the incidence views above now if they are not built yet. The
@@ -174,25 +153,19 @@ class CqmModel {
   void build_incidence() const;
 
   /// Rough magnitude of the objective (used to auto-scale penalties):
-  /// max over groups of weight * (max|expr|)^2, plus max |linear|.
+  /// max over groups of weight * (max|expr|)^2 and max |linear|.
   double objective_scale() const;
 
  private:
   void invalidate_incidence() noexcept { incidence_valid_ = false; }
 
-  std::vector<std::string> var_names_;
-  std::vector<double> linear_;
-  std::vector<QuadraticTerm> quadratic_;
+  std::vector<double> linear_;  ///< one entry per variable
   std::vector<SquaredGroup> groups_;
   std::vector<Constraint> constraints_;
   double objective_offset_ = 0.0;
 
-  mutable CsrRows<Incidence> group_incidence_;
   mutable CsrRows<Incidence> constraint_incidence_;
-  mutable CsrRows<QuadNeighbor> quadratic_incidence_;
   mutable CsrRows<GroupKernelTerm> group_kernel_;
-  mutable std::vector<Sense> sense_flat_;
-  mutable std::vector<double> rhs_flat_;
   mutable std::vector<double> group_weight_flat_;
   mutable bool incidence_valid_ = false;
 };

@@ -47,14 +47,11 @@ QuboConversion cqm_to_qubo(const CqmModel& cqm, const PenaltyOptions& options) {
   QuboModel& qubo = out.qubo;
   qubo = QuboModel(cqm.num_variables());
 
-  // Objective: linear + quadratic + expanded squared groups.
+  // Objective: linear + expanded squared groups.
   qubo.add_offset(cqm.objective_offset());
   const auto linear = cqm.objective_linear();
   for (VarId v = 0; v < linear.size(); ++v) {
     if (linear[v] != 0.0) qubo.add_linear(v, linear[v]);
-  }
-  for (const auto& q : cqm.objective_quadratic()) {
-    qubo.add_quadratic(q.i, q.j, q.coeff);
   }
   for (const auto& g : cqm.squared_groups()) {
     qubo.add_squared_expr(g.expr, g.weight);

@@ -171,8 +171,8 @@ anneal::HybridSolverParams contract_params() {
   p.sweeps = 250;
   p.seed = 123;
   p.threads = 1;
-  // Force the annealing path: the exhaustive Gray-code path records no
-  // incumbent timelines, so it would make this test vacuous.
+  // Force the annealing path: the exhaustive Gray-code path records a single
+  // incumbent point, so it would make this test nearly vacuous.
   p.exhaustive_max_vars = 0;
   return p;
 }
@@ -318,6 +318,29 @@ TEST(Convergence, TemperedRestartTrackContributesPoints) {
     EXPECT_EQ(report.tracks_seen, params.num_restarts);
     EXPECT_EQ(report.samples_seen, total);
   }
+}
+
+// A solve that presolve leaves small runs the exhaustive Gray-code walk
+// instead of the sampling portfolio; it still records the incumbent it
+// returns, so the analysis reports when the solve first held a feasible plan.
+TEST(Convergence, ExhaustiveSolveReportsFirstFeasible) {
+  const lrp::LrpProblem problem({9, 2, 1}, {6, 6, 6});
+  Recorder rec("exhaustive-qcqm1");
+  const auto solver = lrp::make_solver(
+      {.name = "qcqm1", .k = 4, .sweeps = 200, .restarts = 3, .recorder = &rec},
+      problem);
+  EXPECT_TRUE(solver->solve(problem).feasible);
+
+  bool enumerated = false;
+  for (const TraceSpan& span : rec.spans()) {
+    if (span.name == "exhaustive-enum") enumerated = true;
+  }
+  ASSERT_TRUE(enumerated);
+
+  const ConvergenceReport report = ConvergenceDiagnostics().analyze(rec);
+  EXPECT_GE(report.samples_seen, 1u);
+  EXPECT_TRUE(report.reached_feasible());
+  EXPECT_GE(report.time_to_first_feasible_ms, 0.0);
 }
 
 TEST(Convergence, ObjectiveTargetMapsImbalanceConservatively) {

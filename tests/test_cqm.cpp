@@ -14,18 +14,9 @@ State make_state(std::size_t n, unsigned bits) {
 
 CqmModel two_var_model() {
   CqmModel m;
-  m.add_variable("x0");
-  m.add_variable("x1");
+  m.add_variable();
+  m.add_variable();
   return m;
-}
-
-TEST(Cqm, VariableNames) {
-  CqmModel m;
-  const VarId a = m.add_variable("alpha");
-  const VarId b = m.add_variable();
-  EXPECT_EQ(m.variable_name(a), "alpha");
-  EXPECT_EQ(m.variable_name(b), "");
-  EXPECT_EQ(m.num_variables(), 2u);
 }
 
 TEST(Cqm, LinearObjective) {
@@ -35,19 +26,6 @@ TEST(Cqm, LinearObjective) {
   m.add_objective_offset(0.5);
   EXPECT_DOUBLE_EQ(m.objective_value(make_state(2, 0b01)), 2.5);
   EXPECT_DOUBLE_EQ(m.objective_value(make_state(2, 0b10)), -0.5);
-}
-
-TEST(Cqm, QuadraticObjective) {
-  CqmModel m = two_var_model();
-  m.add_objective_quadratic(0, 1, 3.0);
-  EXPECT_DOUBLE_EQ(m.objective_value(make_state(2, 0b11)), 3.0);
-  EXPECT_DOUBLE_EQ(m.objective_value(make_state(2, 0b01)), 0.0);
-}
-
-TEST(Cqm, DiagonalQuadraticFoldsToLinear) {
-  CqmModel m = two_var_model();
-  m.add_objective_quadratic(1, 1, 4.0);
-  EXPECT_DOUBLE_EQ(m.objective_value(make_state(2, 0b10)), 4.0);
 }
 
 TEST(Cqm, SquaredGroupObjective) {
@@ -120,12 +98,17 @@ TEST(Cqm, GroupIncidenceMapsVariablesToGroups) {
   LinearExpr g1;
   g1.add_term(0, 1.0);
   g1.add_term(1, -1.0);
-  m.add_squared_group(g1, 1.0);
-  const auto& inc = m.group_incidence();
-  ASSERT_EQ(inc[0].size(), 2u);
-  ASSERT_EQ(inc[1].size(), 1u);
-  EXPECT_EQ(inc[1][0].index, 1u);
-  EXPECT_DOUBLE_EQ(inc[1][0].coeff, -1.0);
+  m.add_squared_group(g1, 3.0);
+  const auto& rows = m.group_kernel();
+  ASSERT_EQ(rows[0].size(), 2u);
+  EXPECT_EQ(rows[0][0].index, 0u);
+  EXPECT_EQ(rows[0][1].index, 1u);
+  EXPECT_DOUBLE_EQ(rows[0][0].coeff, 2.0);
+  ASSERT_EQ(rows[1].size(), 1u);
+  EXPECT_EQ(rows[1][0].index, 1u);
+  EXPECT_DOUBLE_EQ(rows[1][0].coeff, -1.0);
+  EXPECT_DOUBLE_EQ(rows[1][0].alpha, 2.0 * 3.0 * -1.0);
+  EXPECT_DOUBLE_EQ(rows[1][0].beta, 3.0 * 1.0);
 }
 
 TEST(Cqm, ConstraintIncidence) {

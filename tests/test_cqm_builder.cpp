@@ -204,8 +204,8 @@ TEST(CqmBuilder, StandardBinaryEncodingOption) {
   EXPECT_EQ(plan.total_migrated(), 0);
 }
 
-// Variables carry no names (the build formats none); var(to, from, bit)
-// addresses them, in (to, from, bit) order with no gaps.
+// var(to, from, bit) addresses the variables in (to, from, bit) order with
+// no gaps.
 TEST(CqmBuilder, VarAddressesUnnamedVariablesInOrder) {
   const LrpCqm cqm(kSmall, CqmVariant::kFull, 4);
   model::VarId expected = 0;
@@ -213,7 +213,6 @@ TEST(CqmBuilder, VarAddressesUnnamedVariablesInOrder) {
     for (std::size_t from = 0; from < cqm.num_processes(); ++from) {
       for (std::size_t bit = 0; bit < cqm.bits_for_source(from); ++bit) {
         EXPECT_EQ(cqm.var(to, from, bit), expected);
-        EXPECT_EQ(cqm.cqm().variable_name(expected), "");
         ++expected;
       }
     }

@@ -38,10 +38,15 @@ CqmModel random_cqm(util::Rng& rng, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     cqm.add_objective_linear(static_cast<VarId>(i), rng.next_double() * 4 - 2);
   }
+  // Pairwise couplings as small squared pair groups w * (x_i + x_j)^2.
   for (std::size_t t = 0; t < 2 * n; ++t) {
     const auto i = static_cast<VarId>(rng.next_below(n));
     const auto j = static_cast<VarId>(rng.next_below(n));
-    if (i != j) cqm.add_objective_quadratic(i, j, rng.next_double() * 2 - 1);
+    if (i == j) continue;
+    LinearExpr pair;
+    pair.add_term(i, 1.0);
+    pair.add_term(j, 1.0);
+    cqm.add_squared_group(std::move(pair), rng.next_double() - 0.5);
   }
   for (std::size_t g = 0; g < 3; ++g) {
     LinearExpr e;
@@ -92,8 +97,21 @@ State random_state(util::Rng& rng, std::size_t n) {
 
 // --------------------------------------------- flip/pair deltas vs brute ---
 
+/// Whether two incidence rows name a common group or constraint.
+template <typename Row>
+bool share_an_index(const Row& a, const Row& b) {
+  for (const auto& x : a) {
+    for (const auto& y : b) {
+      if (x.index == y.index) return true;
+    }
+  }
+  return false;
+}
+
 TEST(CqmIncrementalState, FlipAndPairDeltasMatchBruteForce) {
   util::Rng rng(11);
+  // Pairs whose merge walks meet on a shared group and a shared constraint.
+  std::size_t shared_pairs = 0;
   for (int rep = 0; rep < 10; ++rep) {
     const std::size_t n = 6 + rng.next_below(10);
     const CqmModel cqm = random_cqm(rng, n);
@@ -118,8 +136,14 @@ TEST(CqmIncrementalState, FlipAndPairDeltasMatchBruteForce) {
       EXPECT_LT(rel_err(walk.pair_delta_parts(a, b).total(),
                         total_energy_brute(cqm, t, pen) - base),
                 kRelTol);
+      if (share_an_index(cqm.group_kernel()[a], cqm.group_kernel()[b]) &&
+          share_an_index(cqm.constraint_incidence()[a],
+                         cqm.constraint_incidence()[b])) {
+        ++shared_pairs;
+      }
     }
   }
+  EXPECT_GT(shared_pairs, 0u);
 }
 
 // ----------------------------------------------------- QUBO delta cache ----
