@@ -6,7 +6,6 @@
 
 #include <iostream>
 
-#include "anneal/pimc.hpp"
 #include "anneal/sa.hpp"
 #include "common.hpp"
 #include "lrp/gate_solver.hpp"

@@ -1,12 +1,11 @@
 // Micro-benchmarks (google-benchmark): the algorithm-runtime column of
 // Table II (classical methods on the 8-node / 50-task setting) plus the
 // throughput of the solver building blocks (CQM flip evaluation, annealer
-// sweeps, QUBO energy, PIMC sweeps).
+// sweeps, QUBO energy).
 
 #include <benchmark/benchmark.h>
 
 #include "anneal/cqm_anneal.hpp"
-#include "anneal/pimc.hpp"
 #include "anneal/sa.hpp"
 #include "anneal/tempering.hpp"
 #include "classical/greedy.hpp"
@@ -189,21 +188,6 @@ void BM_QuboEnergy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QuboEnergy);
-
-void BM_PimcSweep(benchmark::State& state) {
-  const std::vector<int> sizes = {128, 192, 320, 448};
-  const lrp::LrpProblem problem = workloads::make_mxm_problem(sizes, 8);
-  const lrp::LrpCqm cqm(problem, lrp::CqmVariant::kReduced, 16);
-  const auto conv = model::cqm_to_qubo(cqm.cqm());
-  anneal::PimcParams params;
-  params.sweeps = 1;
-  params.trotter_slices = 8;
-  const anneal::PimcAnnealer annealer(params);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(annealer.sample_qubo(conv.qubo));
-  }
-}
-BENCHMARK(BM_PimcSweep);
 
 void BM_KSelect(benchmark::State& state) {
   for (auto _ : state) {

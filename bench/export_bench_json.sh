@@ -21,7 +21,7 @@ bench_bin="$build_dir/bench/bench_solver_micro"
 baseline=${QULRB_BASELINE_JSON:-"$repo_root/bench/baseline_kernel_seed.json"}
 out="$repo_root/BENCH_kernel.json"
 min_time=${QULRB_BENCH_MIN_TIME:-0.3}
-filter=${QULRB_BENCH_FILTER:-'BM_CqmFlipDelta|BM_CqmAnnealSweep|BM_CqmRefineSweep|BM_TemperingSweep|BM_CqmPairIndexBuild|BM_QuboEnergy|BM_PimcSweep'}
+filter=${QULRB_BENCH_FILTER:-'BM_CqmFlipDelta|BM_CqmAnnealSweep|BM_CqmRefineSweep|BM_TemperingSweep|BM_CqmPairIndexBuild|BM_QuboEnergy'}
 
 if [ ! -x "$bench_bin" ]; then
   echo "error: $bench_bin not found or not executable (build with -DQULRB_BUILD_BENCHES=ON)" >&2

@@ -11,9 +11,9 @@
 
 namespace qulrb::anneal {
 
-/// Control and telemetry sinks of one sampler run, shared by all four
-/// samplers (CqmAnnealer, ParallelTempering, SimulatedAnnealer,
-/// PimcAnnealer). Every sink is optional and follows one discipline: it
+/// Control and telemetry sinks of one sampler run, shared by all three
+/// samplers (CqmAnnealer, ParallelTempering, SimulatedAnnealer). Every sink
+/// is optional and follows one discipline: it
 /// consumes no RNG and never alters control flow, so output is bitwise
 /// identical with or without it.
 struct SamplerSinks {

@@ -40,7 +40,10 @@ bool histogram_layout_from_json(const io::JsonValue& doc,
   const double lo = layout->number_or("lo", 0.0);
   const std::int64_t buckets = layout->int_or("buckets", 0);
   const double per_octave = layout->number_or("per_octave", 0.0);
-  if (!(lo > 0.0) || buckets < 3 || !(per_octave > 0.0)) return false;
+  if (!(lo > 0.0) || buckets < 3 || buckets > kMaxWireBuckets ||
+      !(per_octave > 0.0)) {
+    return false;
+  }
   out.lo = lo;
   out.buckets = static_cast<std::size_t>(buckets);
   out.buckets_per_octave = per_octave;

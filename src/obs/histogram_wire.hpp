@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -28,8 +29,13 @@ namespace qulrb::obs {
 void write_histogram_json(const LogHistogram& h, io::JsonWriter& w);
 std::string histogram_to_json(const LogHistogram& h);
 
+/// Most buckets a wire layout may declare. A LogHistogram allocates
+/// kMetricShards atomics per bucket, so a peer's unchecked count would size
+/// the reader's next allocation; every layout in the tree has 58.
+inline constexpr std::int64_t kMaxWireBuckets = 1024;
+
 /// Read the layout of a serialized histogram. Returns false when the doc is
-/// not a histogram wire object.
+/// not a histogram wire object or declares more than kMaxWireBuckets buckets.
 bool histogram_layout_from_json(const io::JsonValue& doc,
                                 HistogramLayout& out);
 

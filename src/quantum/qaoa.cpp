@@ -174,13 +174,4 @@ QaoaResult QaoaSolver::solve_qubo(const model::QuboModel& qubo) const {
   return result;
 }
 
-QaoaResult QaoaSolver::solve_ising(const model::IsingModel& ising) const {
-  const model::QuboModel qubo = model::ising_to_qubo(ising);
-  QaoaResult result = solve_qubo(qubo);
-  // Report Ising energy for the chosen state (identical by construction).
-  const auto spins = model::state_to_spins(result.best.state);
-  result.best.energy = ising.energy(spins);
-  return result;
-}
-
 }  // namespace qulrb::quantum

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "anneal/sampleset.hpp"
-#include "model/ising.hpp"
 #include "model/qubo.hpp"
 #include "util/rng.hpp"
 
@@ -50,7 +49,6 @@ class QaoaSolver {
   explicit QaoaSolver(QaoaParams params = {}) : params_(params) {}
 
   QaoaResult solve_qubo(const model::QuboModel& qubo) const;
-  QaoaResult solve_ising(const model::IsingModel& ising) const;
 
   /// Expectation <C> for explicit angles (exposed for tests/benches).
   static double expectation(const model::QuboModel& qubo,

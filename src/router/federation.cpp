@@ -59,6 +59,11 @@ bool Federation::update(std::size_t backend, const std::string& backend_label,
       !parse_scalars(*gauges, snap.gauges)) {
     return false;
   }
+  // fleet_prometheus() adds counters as uint64; outside [0, 2^64) that
+  // conversion is undefined.
+  for (const ScalarSample& c : snap.counters) {
+    if (!(c.value >= 0.0 && c.value < 0x1p64)) return false;
+  }
 
   for (const io::JsonValue& entry : hists->as_array()) {
     if (!entry.is_object()) return false;

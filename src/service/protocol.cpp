@@ -1,9 +1,11 @@
 #include "service/protocol.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "io/json.hpp"
 #include "io/json_value.hpp"
+#include "lrp/encoding.hpp"
 #include "util/error.hpp"
 
 namespace qulrb::service {
@@ -20,6 +22,20 @@ class RequestError : public util::InvalidArgument {
       : util::InvalidArgument(message), client_id(id) {}
   std::uint64_t client_id;
 };
+
+// Variables of the request's LRP model: each source j with n_j >= 1 has
+// bits_per_count(n_j) coefficients (the paper set and the plain binary set
+// are the same size), one per destination but itself for Q_CQM1.
+std::int64_t model_variables(const RebalanceRequest& request) {
+  const auto m = static_cast<std::int64_t>(request.task_counts.size());
+  const std::int64_t destinations =
+      request.variant == lrp::CqmVariant::kReduced ? m - 1 : m;
+  std::int64_t bits = 0;
+  for (const std::int64_t n : request.task_counts) {
+    if (n >= 1) bits += static_cast<std::int64_t>(lrp::bits_per_count(n));
+  }
+  return bits * destinations;
+}
 
 // Fills every field of `out` but client_id from the request object `doc`.
 void parse_request_fields(const JsonValue& doc, ProtocolRequest& out) {
@@ -97,6 +113,13 @@ void parse_request_fields(const JsonValue& doc, ProtocolRequest& out) {
   util::require(restarts >= 1 && restarts <= kMaxRestarts,
                 "'restarts' must be in [1, " + std::to_string(kMaxRestarts) + "]");
   hybrid.num_restarts = static_cast<std::size_t>(restarts);
+  // restarts x max(1, V) <= 1024 x 128^2 x 63, so only the last factor,
+  // sweeps, is compared by division.
+  const std::int64_t steps_per_sweep =
+      restarts * std::max<std::int64_t>(1, model_variables(out.request));
+  util::require(sweeps <= kMaxSolveSteps / steps_per_sweep,
+                "'restarts' x 'sweeps' x variables must be at most " +
+                    std::to_string(kMaxSolveSteps) + " (kMaxSolveSteps)");
   hybrid.seed = static_cast<std::uint64_t>(
       doc.int_or("seed", static_cast<std::int64_t>(hybrid.seed)));
   hybrid.time_limit_ms = doc.number_or("time_limit_ms", hybrid.time_limit_ms);

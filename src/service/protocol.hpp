@@ -85,10 +85,18 @@ inline constexpr std::int64_t kMaxRestarts = 1024;
 /// 64).
 inline constexpr std::size_t kMaxProcesses = 128;
 
+/// Largest work, restarts x sweeps x max(1, V) single-variable steps, that
+/// one solve request may buy; V is the variable count of the request's LRP
+/// model. Sweeps alone are otherwise unbounded, so one line could hold a
+/// worker for days. 1e11 is 4.5x the longest solve any test sends (1e8
+/// sweeps over 224 variables); Table V at registry defaults is 4.9e7.
+inline constexpr std::int64_t kMaxSolveSteps = 100'000'000'000;
+
 /// Parse one request line; throws util::InvalidArgument with a message fit
 /// for an {"error":...} reply on malformed input, including a solve whose
-/// "sweeps" is below 1, whose "restarts" is outside [1, kMaxRestarts], or
-/// whose "loads" or "counts" has more than kMaxProcesses entries.
+/// "sweeps" is below 1, whose "restarts" is outside [1, kMaxRestarts], whose
+/// "loads" or "counts" has more than kMaxProcesses entries, or whose work
+/// exceeds kMaxSolveSteps.
 ProtocolRequest parse_request_line(const std::string& line);
 
 /// Canonical wire form of a solve request (no trailing newline): exactly the

@@ -13,8 +13,10 @@ Against qulrb_serve and against qulrb_router (with that serve behind it):
      held ones close, threads and fds settle and health answers again;
   4. slowloris — a request line sent one byte per second is cut off at the
      line deadline with one error line, and threads and fds settle.
+  5. overwork — a solve asking for 10^12 sweeps is answered with one error
+     reply naming the work cap, and nothing is left in flight.
 Against a one-worker qulrb_serve:
-  5. busy worker — while one long solve holds the only worker, 200 health
+  6. busy worker — while one long solve holds the only worker, 200 health
      connections open and close; the fd count is back at baseline while the
      solve still runs (a closed connection waits for its own requests only).
 
@@ -199,6 +201,15 @@ def slowloris(name, pid, port):
           % (name, elapsed, base, now))
 
 
+def overwork(name, port):
+    reply = ask(port, b'{"op":"solve","id":1,"loads":[20,2,2,2,2,2,2,2],'
+                      b'"counts":[8,8,8,8,8,8,8,8],"k":8,'
+                      b'"sweeps":1000000000000}\n')
+    assert reply["id"] == 1 and "kMaxSolveSteps" in reply["error"], reply
+    assert ask(port, HEALTH)["stats"]["inflight"] == 0, "the solve was queued"
+    print("ok: %s overwork refused: %s" % (name, reply["error"]))
+
+
 def busy_worker(proc, port):
     pid = proc.pid
     base = baseline(pid, port)
@@ -264,6 +275,8 @@ def main():
         cap("router", front.pid, router_port, others=0)
         slowloris("serve", backend.pid, serve_port)
         slowloris("router", front.pid, router_port)
+        overwork("serve", busy_port)
+        overwork("router", router_port)
         busy_worker(busy, busy_port)
 
         shutdown(front, router_port)

@@ -111,6 +111,26 @@ TEST(HistogramWire, MergeRejectsLayoutMismatchUntouched) {
   EXPECT_DOUBLE_EQ(target.sum(), 3.0);
 }
 
+// A backend's layout sizes the router's next allocation (kMetricShards
+// atomics per bucket), so the decoder refuses more than 1024 buckets. Only
+// the decoder runs here: no histogram is built from a refused layout.
+TEST(HistogramWire, RejectsOversizedLayout) {
+  const auto decode = [](const std::string& buckets, HistogramLayout& out) {
+    return obs::histogram_layout_from_json(
+        io::JsonValue::parse(R"({"layout":{"lo":0.001,"buckets":)" + buckets +
+                             R"(,"per_octave":2},"counts":[],"sum":0})"),
+        out);
+  };
+  HistogramLayout layout;
+  ASSERT_TRUE(decode("1024", layout));
+  EXPECT_EQ(layout.buckets, 1024u);
+  for (const char* oversized : {"1025", "1000000000000", "4611686018427387904"}) {
+    HistogramLayout untouched;
+    EXPECT_FALSE(decode(oversized, untouched)) << oversized;
+    EXPECT_EQ(untouched.buckets, HistogramLayout().buckets) << oversized;
+  }
+}
+
 TEST(HistogramWire, SerializedMergeMatchesLiveMerge) {
   // The federation exactness guarantee: merging two serialized histograms
   // is bit-identical to merging the live ones.
@@ -241,6 +261,19 @@ TEST(Federation, MalformedUpdateLeavesSnapshotUntouched) {
   EXPECT_EQ(federation.reporting(), 1u);
   EXPECT_NE(federation.fleet_prometheus().find("qulrb_fleet_x_total 3"),
             std::string::npos);
+}
+
+// The fleet view adds counters as uint64; a value outside that range would
+// be an undefined conversion at scrape time, so the snapshot is refused.
+TEST(Federation, RejectsCounterOutsideUint64) {
+  Federation federation(1);
+  for (const std::string value : {"-1", "1e20"}) {
+    const std::string raw =
+        R"({"counters":[{"name":"qulrb_x_total","labels":"","value":)" + value +
+        R"(}],"gauges":[],"histograms":[]})";
+    EXPECT_FALSE(feed(federation, 0, "127.0.0.1:7471", raw, 1.0)) << value;
+  }
+  EXPECT_EQ(federation.reporting(), 0u);
 }
 
 TEST(Federation, InvalidateDropsBackendFromFleetView) {

@@ -1,9 +1,12 @@
-// Deterministic mutation fuzzing of the two parsers that read untrusted
-// request lines, io::JsonValue::parse and service::parse_request_line, and of
-// the router's top-level key scanner, router::find_top_level_value. Seeds
-// are request lines the tests and CI already send; each case applies a few
-// random byte-level and token-level mutations under a fixed seed, so a
-// failure reproduces exactly. Every input must either parse or throw
+// Deterministic mutation fuzzing of the decoders of untrusted input: the two
+// parsers that read request lines, io::JsonValue::parse and
+// service::parse_request_line; the router's top-level key scanner,
+// router::find_top_level_value; the router's decode of a backend's obs
+// snapshot, router::Federation::update and the scrape that folds it; and the
+// CLI's input-file reader, io::read_csv and io::from_input_table. Seeds are
+// inputs the tests and tools already produce; each case applies a few random
+// byte-level and token-level mutations under a fixed seed, so a failure
+// reproduces exactly. Every input must either parse or throw
 // util::InvalidArgument; any other exception fails the test, and a crash or
 // memory error fails it under the sanitizer builds.
 
@@ -11,12 +14,20 @@
 
 #include <cstddef>
 #include <exception>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "io/csv.hpp"
+#include "io/json.hpp"
 #include "io/json_value.hpp"
+#include "io/lrp_io.hpp"
+#include "obs/build_info.hpp"
+#include "obs/histogram_wire.hpp"
+#include "obs/metrics.hpp"
 #include "router/coalesce.hpp"
+#include "router/federation.hpp"
 #include "service/protocol.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -26,7 +37,7 @@ namespace {
 
 constexpr std::size_t kIterations = 20000;
 
-const std::vector<std::string>& seeds() {
+const std::vector<std::string>& request_lines() {
   static const std::vector<std::string> lines = {
       R"({"op":"solve","id":1,"loads":[10,2,2,2],"counts":[8,8,8,8],"k":6,"sweeps":300,"restarts":1})",
       R"({"op":"solve","id":1,"loads":[30,4,4,4,4,4,4,4],"counts":[16,16,16,16,16,16,16,16],"k":8,"sweeps":300,"restarts":2,"seed":7,"target_rimb":1.2,"simulate":true,"sim_iterations":3})",
@@ -48,8 +59,56 @@ const std::vector<std::string>& seeds() {
   return lines;
 }
 
+/// Obs snapshots as a backend sends them: a registry with every metric kind,
+/// a non-default histogram layout and per-process gauges, at the top level
+/// and nested under "registry" as the serve shell does; and an empty one.
+const std::vector<std::string>& obs_snapshots() {
+  static const std::vector<std::string> docs = [] {
+    obs::MetricsRegistry registry;
+    registry.counter("qulrb_service_requests_total", "Requests", "outcome=\"ok\"").inc(3);
+    registry.gauge("qulrb_service_queue_depth", "Depth").set(2.5);
+    registry.gauge("qulrb_process_open_fds", "Fds").set(9.0);
+    obs::register_build_info(registry, obs::build_info(), "serve");
+    auto& latency = registry.histogram("qulrb_service_request_ms", "Latency");
+    for (const double v : {0.5, 4.0, 64.0, 1e9}) latency.observe(v);
+    obs::HistogramLayout narrow;
+    narrow.lo = 0.5;
+    narrow.buckets = 12;
+    narrow.buckets_per_octave = 1.0;
+    registry.histogram("qulrb_x_ms", "X", "", narrow).observe(2.0);
+    const auto serialize = [](const obs::MetricsRegistry& r) {
+      io::JsonWriter w;
+      obs::write_registry_obs_json(r, w);
+      return w.str();
+    };
+    const std::string full = serialize(registry);
+    return std::vector<std::string>{
+        full, R"({"role":"serve","registry":)" + full + "}",
+        serialize(obs::MetricsRegistry())};
+  }();
+  return docs;
+}
+
+/// Input tables as the CLI writes them (`qulrb gen`), one per shape.
+const std::vector<std::string>& input_tables() {
+  static const std::vector<std::string> tables = [] {
+    std::vector<std::string> out;
+    for (const lrp::LrpProblem& problem :
+         {lrp::LrpProblem({10.0, 2.0, 2.0, 2.0}, {8, 8, 8, 8}),
+          lrp::LrpProblem({3.25}, {5}),
+          lrp::LrpProblem({1.5, 0.0, 7.125, 2.0, 4.0, 0.5}, {3, 0, 12, 1, 40, 9})}) {
+      std::ostringstream csv;
+      io::write_csv(csv, io::to_input_table(problem));
+      out.push_back(csv.str());
+    }
+    return out;
+  }();
+  return tables;
+}
+
 /// Fragments a mutation splices in: JSON structure, escapes, numbers at the
-/// edges of double and int64, and the protocol's own keys and values.
+/// edges of double and int64, and the keys and values of the request
+/// protocol and the obs wire form.
 const std::vector<std::string>& tokens() {
   static const std::vector<std::string> words = {
       "{", "}", "[", "]", "\"", ",", ":", "\\", "null", "true", "false", "-",
@@ -59,7 +118,8 @@ const std::vector<std::string>& tokens() {
       "\"solve\"", "\"cancel\"", "\"trace\"", "\"profile\"", "\"loads\"",
       "\"counts\"", "\"k\"", "\"id\"", "\"rid\"", "\"n\"", "\"sweeps\"",
       "\"restarts\"", "\"variant\"", "\"qcqm2\"", "\"seconds\"",
-      "\"sim_iterations\"", "\"sim_threads\"", "\"priority\"", "[]", "{}",
+      "\"sim_iterations\"", "\"sim_threads\"", "\"priority\"", "\"layout\"",
+      "\"buckets\"", "\"per_octave\"", "\"value\"", "\"registry\"", "[]", "{}",
       "\"\"", std::string(1, '\0'), "\x7f", "\xff", "\t", "\r", "\n"};
   return words;
 }
@@ -75,7 +135,8 @@ std::size_t pick(util::Rng& rng, std::size_t n) {
   return static_cast<std::size_t>(rng.next_below(n));
 }
 
-void mutate_once(util::Rng& rng, std::string& s) {
+void mutate_once(util::Rng& rng, const std::vector<std::string>& corpus,
+                 std::string& s) {
   const std::size_t pos = pick(rng, s.size() + 1);
   switch (pick(rng, 8)) {
     case 0:  // flip one bit
@@ -99,7 +160,7 @@ void mutate_once(util::Rng& rng, std::string& s) {
       s.resize(pos);
       break;
     case 6: {  // splice the tail of another seed
-      const std::string& other = seeds()[pick(rng, seeds().size())];
+      const std::string& other = corpus[pick(rng, corpus.size())];
       s = s.substr(0, pos) + other.substr(pick(rng, other.size() + 1));
       break;
     }
@@ -114,13 +175,13 @@ void mutate_once(util::Rng& rng, std::string& s) {
 }
 
 template <typename Parse>
-void fuzz(std::uint64_t seed, Parse parse) {
+void fuzz(std::uint64_t seed, const std::vector<std::string>& corpus, Parse parse) {
   util::Rng rng(seed);
   std::size_t parsed = 0;
   for (std::size_t i = 0; i < kIterations; ++i) {
-    std::string input = seeds()[pick(rng, seeds().size())];
+    std::string input = corpus[pick(rng, corpus.size())];
     const std::size_t rounds = 1 + pick(rng, 4);
-    for (std::size_t r = 0; r < rounds; ++r) mutate_once(rng, input);
+    for (std::size_t r = 0; r < rounds; ++r) mutate_once(rng, corpus, input);
     try {
       parse(input);
       ++parsed;
@@ -136,18 +197,19 @@ void fuzz(std::uint64_t seed, Parse parse) {
 }
 
 TEST(Fuzz, JsonValueParse) {
-  fuzz(0x5eed0001, [](const std::string& line) { (void)io::JsonValue::parse(line); });
+  fuzz(0x5eed0001, request_lines(),
+       [](const std::string& line) { (void)io::JsonValue::parse(line); });
 }
 
 TEST(Fuzz, ParseRequestLine) {
-  fuzz(0x5eed0002,
+  fuzz(0x5eed0002, request_lines(),
        [](const std::string& line) { (void)service::parse_request_line(line); });
 }
 
 // On any line the scanner's span stays inside the line; on a line that parses,
 // every span it returns is itself one complete JSON value.
 TEST(Fuzz, TopLevelValueSpan) {
-  fuzz(0x5eed0003, [](const std::string& line) {
+  fuzz(0x5eed0003, request_lines(), [](const std::string& line) {
     std::vector<router::ValueSpan> spans;
     for (const char* key : {"id", "op", "loads", "k", "rid"}) {
       const router::ValueSpan span = router::find_top_level_value(line, key);
@@ -160,6 +222,24 @@ TEST(Fuzz, TopLevelValueSpan) {
       EXPECT_NO_THROW((void)io::JsonValue::parse(line.substr(span.pos, span.len)))
           << line.substr(0, 200);
     }
+  });
+}
+
+// A backend's obs reply is decoded, then folded into the fleet exposition,
+// which allocates from the decoded layouts.
+TEST(Fuzz, FederationUpdate) {
+  fuzz(0x5eed0004, obs_snapshots(), [](const std::string& text) {
+    const io::JsonValue doc = io::JsonValue::parse(text);
+    router::Federation federation(1);
+    (void)federation.update(0, "127.0.0.1:7471", text, doc, 0.0);
+    (void)federation.fleet_prometheus();
+  });
+}
+
+TEST(Fuzz, InputTable) {
+  fuzz(0x5eed0005, input_tables(), [](const std::string& text) {
+    std::istringstream in(text);
+    (void)io::from_input_table(io::read_csv(in));
   });
 }
 

@@ -202,6 +202,49 @@ TEST(Protocol, RejectsOutOfRangeRestartsAndSweeps) {
   EXPECT_EQ(processes(kMaxProcesses).request.task_loads.size(), kMaxProcesses);
 }
 
+// Sweeps alone are unbounded, so a line asking for 10^12 sweeps held a
+// worker until SIGKILL. The cap is on restarts x sweeps x V, with V the
+// variable count of the request's LRP model.
+TEST(Protocol, RejectsSolveWorkAboveCap) {
+  const auto solve = [](const std::string& fields) {
+    return parse_request_line(R"({"id":1,)" + fields + "}");
+  };
+  // M = 8, n_j = 8: V = 8 sources x 4 bits x 7 destinations = 224.
+  const std::string m8 =
+      R"("loads":[20,2,2,2,2,2,2,2],"counts":[8,8,8,8,8,8,8,8],"k":8,)";
+  EXPECT_THROW(solve(m8 + R"("sweeps":1000000000000,"restarts":1)"),
+               util::InvalidArgument);
+  EXPECT_EQ(solve(m8 + R"("sweeps":100000000,"restarts":1)").request.hybrid.sweeps,
+            100000000u);
+
+  // M = 2, n_j = 4: 3 bits per source, so V = 6 for qcqm1 and 12 for qcqm2.
+  const std::int64_t at_cap = kMaxSolveSteps / 6;
+  const auto m2 = [](const std::string& variant, std::int64_t sweeps) {
+    return R"("loads":[3,1],"counts":[4,4],"restarts":1,"variant":")" + variant +
+           R"(","sweeps":)" + std::to_string(sweeps);
+  };
+  EXPECT_EQ(solve(m2("qcqm1", at_cap)).request.hybrid.sweeps,
+            static_cast<std::size_t>(at_cap));
+  EXPECT_THROW(solve(m2("qcqm1", at_cap + 1)), util::InvalidArgument);
+  EXPECT_THROW(solve(m2("qcqm2", at_cap)), util::InvalidArgument);
+  EXPECT_NO_THROW(solve(m2("qcqm2", kMaxSolveSteps / 12)));
+
+  // A task-less source adds no variables; a model with none still costs one
+  // step per sweep and restart.
+  EXPECT_NO_THROW(solve(R"("loads":[3,1],"counts":[4,0],"restarts":1,"sweeps":)" +
+                        std::to_string(kMaxSolveSteps / 3)));
+  const std::string empty = R"("loads":[3,1],"counts":[0,0],"restarts":1,)";
+  EXPECT_NO_THROW(solve(empty + R"("sweeps":)" + std::to_string(kMaxSolveSteps)));
+  EXPECT_THROW(solve(empty + R"("sweeps":)" + std::to_string(kMaxSolveSteps + 1)),
+               util::InvalidArgument);
+
+  // The product is never formed: 2^62 sweeps at the most restarts is
+  // refused, not wrapped.
+  EXPECT_THROW(solve(m8 + R"("sweeps":4611686018427387904,"restarts":)" +
+                     std::to_string(kMaxRestarts)),
+               util::InvalidArgument);
+}
+
 // ------------------------------------------------------------- encode -----
 
 TEST(Protocol, ResponseRoundTripsThroughJson) {

@@ -145,16 +145,6 @@ TEST(Qaoa, SolvesRandomFiveVariableInstances) {
   }
 }
 
-TEST(Qaoa, IsingInterfaceReportsIsingEnergy) {
-  model::IsingModel ising(2);
-  ising.add_coupling(0, 1, 1.0);  // anti-aligned optimum, energy -1
-  quantum::QaoaParams params;
-  params.layers = 2;
-  params.seed = 2;
-  const auto result = quantum::QaoaSolver(params).solve_ising(ising);
-  EXPECT_DOUBLE_EQ(result.best.energy, -1.0);
-}
-
 TEST(Qaoa, RejectsOversizedInstances) {
   model::QuboModel q(21);
   quantum::QaoaParams params;
